@@ -7,11 +7,8 @@ replication harness.
 """
 
 from .conformal import (
-    ConformalP,
-    EValueVector,
-    QValueVector,
     RejectionSet,
-    ScorePair,
+    ScorePairs,
     bc_threshold,
     bh,
     build_pairs,

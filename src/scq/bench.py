@@ -29,7 +29,7 @@ from .datamodel import (
     split_nulls,
 )
 from .errors import ConfigError, ScqError, TooManyFailures
-from .modelselect import CoinStream, Toolbox, ptams, ptams_plus
+from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
 from .pipeline import WeightConfig, run_cfbh, run_scq
 from .scoring import ClassifierSpec
 
@@ -110,19 +110,38 @@ class MetricsRow:
             "reps": self.reps,
         }
 
+    @staticmethod
+    def from_dict(doc: dict) -> "MetricsRow":
+        """Inverse of :meth:`to_dict`, for rows read back from ``metrics.json``."""
+        return MetricsRow(
+            name=doc["method"],
+            fdr_hat=doc["fdr"],
+            fdr_se=doc["fdr_se"],
+            ap_hat=doc["ap"],
+            ap_se=doc["ap_se"],
+            etp_hat=doc["etp"],
+            etp_se=doc["etp_se"],
+            reps=doc["reps"],
+        )
+
+
+def _rejection_mask(rejection: RejectionSet, truth: np.ndarray) -> np.ndarray:
+    if rejection.mask.shape != truth.shape:
+        raise ConfigError("rejection mask and truth vector must share length")
+    return rejection.mask
+
 
 def fdp(rejection: RejectionSet, truth: Sequence[bool]) -> float:
     """Realized false discovery proportion: false rejections over max(1, |R|)."""
     truth = np.asarray(truth, dtype=bool)
-    if rejection.indices and max(rejection.indices) > len(truth):
-        raise ConfigError("rejection ids exceed the truth vector length")
-    false = sum(1 for j in rejection.indices if not truth[j - 1])
-    return false / max(1, len(rejection.indices))
+    mask = _rejection_mask(rejection, truth)
+    false = int(np.count_nonzero(mask & ~truth))
+    return false / max(1, len(rejection))
 
 
 def true_positives(rejection: RejectionSet, truth: Sequence[bool]) -> int:
     truth = np.asarray(truth, dtype=bool)
-    return sum(1 for j in rejection.indices if truth[j - 1])
+    return int(np.count_nonzero(_rejection_mask(rejection, truth) & truth))
 
 
 def power(rejection: RejectionSet, truth: Sequence[bool]) -> float:
@@ -208,29 +227,27 @@ def run_method(
     oracle_pi: Optional[np.ndarray] = None,
 ) -> RejectionSet:
     """Dispatch one method on prepared inference inputs."""
-    if method.pipeline == "scq":
-        cfg = WeightConfig(
-            mode=method.weight_mode,
-            lam=method.lam,
-            bandwidth=method.bandwidth,
-            oracle_pi=oracle_pi if method.weight_mode == "oracle" else None,
-        )
-        return run_scq(data, method.classifier, cfg, alpha).rejection
-    if method.pipeline == "bc-unweighted":
-        return run_scq(data, method.classifier, WeightConfig(mode="unit"), alpha).rejection
     if method.pipeline == "cfbh":
         return run_cfbh(data, method.classifier, alpha, storey=method.storey)
-    wcfg = WeightConfig(mode=method.weight_mode, lam=method.lam, bandwidth=method.bandwidth,
-                        oracle_pi=oracle_pi if method.weight_mode == "oracle" else None)
+    if method.pipeline == "bc-unweighted":
+        return run_scq(data, method.classifier, WeightConfig(mode="unit"), alpha).rejection
+    wcfg = WeightConfig(
+        mode=method.weight_mode,
+        lam=method.lam,
+        bandwidth=method.bandwidth,
+        oracle_pi=oracle_pi if method.weight_mode == "oracle" else None,
+    )
+    if method.pipeline == "scq":
+        return run_scq(data, method.classifier, wcfg, alpha).rejection
     if method.pipeline == "ptams":
         _, result = ptams(
             method.toolbox, data, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg
         )
         return result.rejection
-    grid = method.lambda_grid or (0.05, 0.1, 0.2, 0.3, 0.5)
     _, _, result = ptams_plus(
         method.toolbox, data, alpha, coins,
-        lambda_grid=grid, alpha0=method.alpha0, weight_cfg=wcfg,
+        lambda_grid=method.lambda_grid or DEFAULT_LAMBDA_GRID,
+        alpha0=method.alpha0, weight_cfg=wcfg,
     )
     return result.rejection
 

@@ -1,10 +1,14 @@
 """Command-line interface: simulate, infer, select, report.
 
 Experiment definitions live in JSON configs; scalar flags (``--alpha``,
-``--seed``, ``--reps``, ``--out``, ``--threads``) override config fields.
-Standard output carries a one-line summary; all data goes to files whose
-bytes are fully determined by the inputs and the seed.  Exit codes: 0
-success, 1 user or config error, 2 statistical or runtime failure.
+``--seed``, ``--out``, and for ``simulate`` also ``--reps`` and
+``--threads``) override config fields.  Standard output carries a one-line
+summary; all data goes to files whose bytes are fully determined by the
+inputs and the seed.  ``infer`` and ``select`` write ``weights.csv`` from
+the sparsity estimate their result carries, so the weights are computed
+once per run.  Exit codes: 0 success, 1 user or config error, 2
+statistical or runtime failure (a degenerate fit, NaN scores, every
+selection candidate failing, too many failed replications).
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from . import bench
 from .datamodel import InferenceData, SyntheticConfig, load_csv, split_nulls
 from .errors import ConfigError, RuntimeFailure, ScqError, UsageError
 from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
-from .pipeline import WeightConfig, run_scq
+from .pipeline import SCQResult, WeightConfig, run_scq
 from .scoring import ClassifierSpec
-from .weights import dump_weight_diagnostics, estimate_sparsity, matrix_for_side
+from .weights import dump_weight_diagnostics
 
 
 def _load_config(path) -> dict:
@@ -62,7 +66,7 @@ def _seed_of(args, cfg: dict) -> int:
     return int(seed)
 
 
-def _split_csv_data(data_path, cfg: dict, seed: int, train_frac: float) -> InferenceData:
+def _split_csv_data(data_path, seed: int, train_frac: float) -> InferenceData:
     pool, test = load_csv(data_path)
     if test.m == 0:
         raise ConfigError("no test rows in the data file")
@@ -115,25 +119,22 @@ def cmd_infer(args) -> int:
     classifier = ClassifierSpec.from_dict(cfg["classifier"])
     alpha = _check_alpha(args.alpha if args.alpha is not None else cfg.get("alpha", 0.05))
     seed = _seed_of(args, cfg)
-    data = _split_csv_data(args.data, cfg, seed, float(cfg.get("train_frac", 0.5)))
+    data = _split_csv_data(args.data, seed, float(cfg.get("train_frac", 0.5)))
     jitter = bool(cfg.get("jitter", False))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1])) if jitter else None
-    wcfg = _weight_config(cfg)
-    result = run_scq(data, classifier, wcfg, alpha, jitter=jitter, rng=rng)
+    result = run_scq(data, classifier, _weight_config(cfg), alpha, jitter=jitter, rng=rng)
     out = _out_dir(args, cfg)
     _write_json(out / "report.json", result.report_dict())
-    _dump_weights(out, data, result, wcfg)
+    _dump_weights(out, data, result)
     print(f"infer: rejected {len(result.rejection)} of {data.m} test units")
     return 0
 
 
-def _dump_weights(out, data, result, wcfg: WeightConfig) -> None:
+def _dump_weights(out, data, result: SCQResult) -> None:
     # per-unit diagnostics only exist for learned weights
-    if wcfg.mode != "structure":
+    if result.sparsity is None:
         return
-    omega = matrix_for_side(data.test.side, wcfg.bandwidth)
-    est = estimate_sparsity(omega, result.scores.p, result.scores.p_tilde, wcfg.lam)
-    dump_weight_diagnostics(out / "weights.csv", data.test.side, est, result.weights)
+    dump_weight_diagnostics(out / "weights.csv", data.test.side, result.sparsity, result.weights)
 
 
 def cmd_select(args) -> int:
@@ -143,7 +144,7 @@ def cmd_select(args) -> int:
     toolbox = Toolbox.from_list(cfg["toolbox"])
     alpha = _check_alpha(args.alpha if args.alpha is not None else cfg.get("alpha", 0.05))
     seed = _seed_of(args, cfg)
-    data = _split_csv_data(args.data, cfg, seed, float(cfg.get("train_frac", 0.5)))
+    data = _split_csv_data(args.data, seed, float(cfg.get("train_frac", 0.5)))
     coin_seed = int(
         np.random.SeedSequence([seed, 2]).generate_state(1, dtype=np.uint64)[0]
     )
@@ -162,13 +163,7 @@ def cmd_select(args) -> int:
     out = _out_dir(args, cfg)
     _write_json(out / "trace.json", trace.to_dict())
     _write_json(out / "report.json", result.report_dict())
-    select_lam = trace.lambda_star if trace.lambda_star is not None else wcfg.lam
-    _dump_weights(
-        out,
-        data,
-        result,
-        WeightConfig(mode=wcfg.mode, lam=select_lam, bandwidth=wcfg.bandwidth),
-    )
+    _dump_weights(out, data, result)
     chosen = toolbox.names[trace.selected - 1]
     print(
         f"select: chose {chosen} (candidate {trace.selected}), "
@@ -192,13 +187,10 @@ def cmd_report(args) -> int:
         if not isinstance(doc, dict) or "rows" not in doc:
             continue
         param_value = doc.get("param_value")
-        for row in doc["rows"]:
-            merged.append(
-                [row["method"], param_value, "fdr", row["fdr"], row["fdr_se"]]
-            )
-            merged.append([row["method"], param_value, "ap", row["ap"], row["ap_se"]])
-            merged.append([row["method"], param_value, "etp", row["etp"], row["etp_se"]])
-            summaries.setdefault(row["method"], []).append((param_value, row))
+        rows = [bench.MetricsRow.from_dict(row) for row in doc["rows"]]
+        merged.extend(bench.long_rows(rows, param_value))
+        for row in rows:
+            summaries.setdefault(row.name, []).append((param_value, row))
     if not merged:
         raise ConfigError(f"no metrics artifacts found under {src}")
     out = Path(args.out) if args.out else src
@@ -210,10 +202,10 @@ def cmd_report(args) -> int:
         for param_value, row in summaries[method]:
             tag = "" if param_value is None else f" @ param={param_value}"
             lines.append(
-                f"  fdr={row['fdr']:.4f} (se {row['fdr_se']:.4f})"
-                f"  ap={row['ap']:.4f} (se {row['ap_se']:.4f})"
-                f"  etp={row['etp']:.2f} (se {row['etp_se']:.2f})"
-                f"  reps={row['reps']}{tag}"
+                f"  fdr={row.fdr_hat:.4f} (se {row.fdr_se:.4f})"
+                f"  ap={row.ap_hat:.4f} (se {row.ap_se:.4f})"
+                f"  etp={row.etp_hat:.2f} (se {row.etp_se:.2f})"
+                f"  reps={row.reps}{tag}"
             )
     with open(out / "summary.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -228,17 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_reps=False):
+    def add_common(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="master seed")
         sp.add_argument("--alpha", type=float, default=None, help="target FDR level")
-        sp.add_argument("--threads", type=int, default=None, help="worker cap")
-        if with_reps:
-            sp.add_argument("--reps", type=int, default=None, help="replication count")
 
     sp = sub.add_parser("simulate", help="run seeded synthetic replications")
-    add_common(sp, with_reps=True)
+    add_common(sp)
+    sp.add_argument("--threads", type=int, default=None, help="worker cap")
+    sp.add_argument("--reps", type=int, default=None, help="replication count")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("infer", help="calibrated inference on a CSV dataset")

@@ -22,152 +22,94 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveWeight
+from .errors import ConfigError, DegenerateFit, NonPositiveWeight
 
 
 @dataclass(frozen=True)
-class ConformalP:
-    """Exact conformal p-value: ``numerator / (n_cal + 1)``."""
+class ScorePairs:
+    """Weighted (test, mirror) score pairs for units 1..m, as two float64 arrays."""
 
-    numerator: int
-    n_cal: int
-
-    def __post_init__(self):
-        if not 1 <= self.numerator <= self.n_cal + 1:
-            raise ConfigError(
-                f"numerator {self.numerator} outside 1..{self.n_cal + 1}"
-            )
-
-    @property
-    def value(self) -> float:
-        return self.numerator / (self.n_cal + 1)
-
-
-@dataclass(frozen=True)
-class ScorePair:
-    """Weighted conformity-score pair for one test unit (1-based ``index``)."""
-
-    v: float
-    v_tilde: float
-    index: int
+    v: np.ndarray
+    vt: np.ndarray
 
     def __post_init__(self):
-        if not (self.v > 0.0 and self.v_tilde > 0.0):
+        v = np.asarray(self.v, dtype=np.float64)
+        vt = np.asarray(self.vt, dtype=np.float64)
+        if v.shape != vt.shape or v.ndim != 1:
+            raise ConfigError("v and vt must be 1-d arrays of equal length")
+        if not (np.all(v > 0.0) and np.all(vt > 0.0)):
             raise ConfigError("score pairs must be strictly positive")
-
-
-@dataclass(frozen=True)
-class QValueVector:
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "vt", vt)
 
     def __len__(self) -> int:
-        return len(self.q)
+        return len(self.v)
 
 
 @dataclass(frozen=True)
 class RejectionSet:
-    """Rejected unit ids (1-based), optional score threshold, and the level used."""
+    """Rejection mask over units 1..m, optional score threshold, and the level used."""
 
-    indices: frozenset
+    mask: np.ndarray
     alpha: float
     threshold: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
+        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
 
     def sorted(self) -> list:
-        return sorted(self.indices)
+        """Rejected unit ids (1-based) in increasing order."""
+        return (np.flatnonzero(self.mask) + 1).tolist()
 
     def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, j) -> bool:
-        return j in self.indices
+        return int(np.count_nonzero(self.mask))
 
 
-@dataclass(frozen=True)
-class EValueVector:
-    e: np.ndarray
+def conformal_pvalues(cal_scores: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """P-value numerators ``1 + #{cal <= s}`` for a batch of scores.
 
-    def __post_init__(self):
-        object.__setattr__(self, "e", np.asarray(self.e, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.e)
-
-
-def conformal_pvalue(cal_scores: Sequence[float], s_x: float) -> ConformalP:
-    """Rank ``s_x`` among calibration scores: (1 + #{cal <= s_x}) / (1 + N).
-
-    Ties count inclusively, so the result lives on the exact grid
-    ``{1/(N+1), ..., 1}``.
+    The p-value of score ``s`` is the numerator over ``N + 1`` for ``N``
+    calibration scores; ties count inclusively, so it lives on the exact
+    grid ``{1/(N+1), ..., 1}``.  A NaN score has no rank and raises
+    :class:`DegenerateFit`.
     """
-    cal = np.asarray(cal_scores, dtype=np.float64)
-    if cal.size == 0:
-        raise ConfigError("calibration scores must be nonempty")
-    return ConformalP(numerator=1 + int(np.count_nonzero(cal <= s_x)), n_cal=cal.size)
-
-
-def conformal_pvalues(cal_scores: np.ndarray, scores: np.ndarray) -> list[ConformalP]:
-    """Vectorized :func:`conformal_pvalue` over a batch of scores."""
     cal = np.sort(np.asarray(cal_scores, dtype=np.float64))
     if cal.size == 0:
         raise ConfigError("calibration scores must be nonempty")
-    counts = np.searchsorted(cal, np.asarray(scores, dtype=np.float64), side="right")
-    return [ConformalP(numerator=1 + int(c), n_cal=cal.size) for c in counts]
+    s = np.asarray(scores, dtype=np.float64)
+    if np.isnan(cal[-1]) or np.any(np.isnan(s)):
+        raise DegenerateFit("NaN conformity score: the fitted model is numerically degenerate")
+    return 1 + np.searchsorted(cal, s, side="right").astype(np.int64)
 
 
-def pvalue_array(pvals: Sequence[ConformalP]) -> np.ndarray:
-    return np.array([p.value for p in pvals], dtype=np.float64)
+def conformal_pvalue(cal_scores: Sequence[float], s_x: float) -> float:
+    """One conformal p-value: ``(1 + #{cal <= s_x}) / (1 + N)``."""
+    n_cal = np.size(cal_scores)
+    return int(conformal_pvalues(cal_scores, [s_x])[0]) / (n_cal + 1)
 
 
-def build_pairs(
-    p: Sequence[ConformalP],
-    p_tilde: Sequence[ConformalP],
-    w: Sequence[float],
-) -> list[ScorePair]:
+def build_pairs(p: np.ndarray, p_tilde: np.ndarray, w: np.ndarray) -> ScorePairs:
     """Divide each (test, mirror) p-value pair by its unit weight."""
-    if not (len(p) == len(p_tilde) == len(w)):
-        raise ConfigError("p, p_tilde, and w must share length")
+    p = np.asarray(p, dtype=np.float64)
+    p_tilde = np.asarray(p_tilde, dtype=np.float64)
     wa = np.asarray(w, dtype=np.float64)
+    if not (len(p) == len(p_tilde) == len(wa)):
+        raise ConfigError("p, p_tilde, and w must share length")
     if np.any(wa <= 0.0) or not np.all(np.isfinite(wa)):
         raise NonPositiveWeight("weights must be strictly positive and finite")
-    return [
-        ScorePair(v=pj.value / wj, v_tilde=ptj.value / wj, index=j + 1)
-        for j, (pj, ptj, wj) in enumerate(zip(p, p_tilde, wa))
-    ]
+    return ScorePairs(v=p / wa, vt=p_tilde / wa)
 
 
-def pairs_from_values(v: Sequence[float], v_tilde: Sequence[float]) -> list[ScorePair]:
-    """Wrap raw positive score arrays as pairs with unit ids 1..m."""
-    if len(v) != len(v_tilde):
-        raise ConfigError("v and v_tilde must share length")
-    return [
-        ScorePair(v=float(a), v_tilde=float(b), index=j + 1)
-        for j, (a, b) in enumerate(zip(v, v_tilde))
-    ]
-
-
-def pairs_to_arrays(pairs: Sequence[ScorePair]) -> tuple[np.ndarray, np.ndarray]:
-    v = np.array([pr.v for pr in pairs], dtype=np.float64)
-    vt = np.array([pr.v_tilde for pr in pairs], dtype=np.float64)
-    return v, vt
-
-
-def count_tied_pairs(pairs: Sequence[ScorePair]) -> int:
+def count_tied_pairs(pairs: ScorePairs) -> int:
     """Diagnostic: pairs with exactly equal coordinates contribute to neither side."""
-    v, vt = pairs_to_arrays(pairs)
-    return int(np.count_nonzero(v == vt))
+    return int(np.count_nonzero(pairs.v == pairs.vt))
 
 
-def mirror_stat(pairs: Sequence[ScorePair], t: float) -> float:
+def mirror_stat(pairs: ScorePairs, t: float) -> float:
     """Evaluate the mirror process ``H(t)`` by direct counting."""
     if t <= 0.0:
         raise ConfigError("t must be positive")
-    v, vt = pairs_to_arrays(pairs)
+    v, vt = pairs.v, pairs.vt
     num = 1 + int(np.count_nonzero((vt <= t) & (vt < v)))
     den = max(1, int(np.count_nonzero((v <= t) & (v < vt))))
     return num / den
@@ -188,7 +130,16 @@ def _grid_mirror(v: np.ndarray, vt: np.ndarray):
     return grid, num / den
 
 
-def _qvalues_arrays(v: np.ndarray, vt: np.ndarray) -> np.ndarray:
+def scq_qvalues(pairs: ScorePairs) -> np.ndarray:
+    """Conformal q-values: running minima of ``H`` over the merged score grid.
+
+    ``q_j = min{H(t) : t in grid, t >= v_j}`` (capped at 1) when
+    ``v_j < vt_j``; reversed or tied pairs get ``q_j = 1``.  Computed in
+    O(m log m) by one sorted sweep plus suffix minima.
+    """
+    if len(pairs) == 0:
+        raise ConfigError("pairs must be nonempty")
+    v, vt = pairs.v, pairs.vt
     grid, h = _grid_mirror(v, vt)
     # min over grid points >= v_j, via suffix minima of H
     suffix_min = np.minimum.accumulate(h[::-1])[::-1]
@@ -200,120 +151,91 @@ def _qvalues_arrays(v: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return q
 
 
-def scq_qvalues(pairs: Sequence[ScorePair]) -> QValueVector:
-    """Conformal q-values: running minima of ``H`` over the merged score grid.
-
-    ``q_j = min{H(t) : t in grid, t >= v_j}`` (capped at 1) when
-    ``v_j < vt_j``; reversed or tied pairs get ``q_j = 1``.  Computed in
-    O(m log m) by one sorted sweep plus suffix minima.
-    """
-    if len(pairs) == 0:
-        raise ConfigError("pairs must be nonempty")
-    v, vt = pairs_to_arrays(pairs)
-    return QValueVector(q=_qvalues_arrays(v, vt))
-
-
-def scq_reject(q: QValueVector, alpha: float) -> RejectionSet:
-    """Units with q-value at or below the target level."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
-    idx = np.flatnonzero(q.q <= alpha) + 1
-    return RejectionSet(indices=frozenset(int(i) for i in idx), alpha=alpha)
 
 
-def bc_threshold(
-    pairs: Sequence[ScorePair], alpha: float
-) -> tuple[Optional[float], RejectionSet]:
+def scq_reject(q: np.ndarray, alpha: float) -> RejectionSet:
+    """Units with q-value at or below the target level."""
+    _check_alpha(alpha)
+    return RejectionSet(mask=np.asarray(q) <= alpha, alpha=alpha)
+
+
+def bc_threshold(pairs: ScorePairs, alpha: float) -> tuple[Optional[float], RejectionSet]:
     """Direct score thresholding: the largest grid point with ``H(t) <= alpha``.
 
     Returns ``(tau, rejections)``; ``tau`` is absent (and the rejection set
     empty) when no grid point qualifies.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    v, vt = pairs_to_arrays(pairs)
+    _check_alpha(alpha)
+    v, vt = pairs.v, pairs.vt
     grid, h = _grid_mirror(v, vt)
-    ok = h <= alpha
-    if not np.any(ok):
-        return None, RejectionSet(indices=frozenset(), alpha=alpha, threshold=None)
-    tau = float(grid[np.flatnonzero(ok)[-1]])
-    idx = np.flatnonzero((v <= tau) & (v < vt)) + 1
-    return tau, RejectionSet(
-        indices=frozenset(int(i) for i in idx), alpha=alpha, threshold=tau
-    )
+    ok = np.flatnonzero(h <= alpha)
+    if ok.size == 0:
+        return None, RejectionSet(mask=np.zeros(len(v), dtype=bool), alpha=alpha)
+    tau = float(grid[ok[-1]])
+    return tau, RejectionSet(mask=(v <= tau) & (v < vt), alpha=alpha, threshold=tau)
 
 
-def evalues(pairs: Sequence[ScorePair], alpha: float) -> EValueVector:
+def evalues(pairs: ScorePairs, alpha: float) -> np.ndarray:
     """Per-unit e-values induced by the mirror threshold.
 
     ``e_j = m * 1{v_j <= tau, v_j < vt_j} / (1 + #{i : vt_i <= tau, vt_i < v_i})``,
     an all-zero vector when the threshold is absent.
     """
-    v, vt = pairs_to_arrays(pairs)
-    tau, _ = bc_threshold(pairs, alpha)
-    m = len(pairs)
+    v, vt = pairs.v, pairs.vt
+    tau, rej = bc_threshold(pairs, alpha)
+    m = len(v)
     if tau is None:
-        return EValueVector(e=np.zeros(m))
+        return np.zeros(m)
     mirror_count = int(np.count_nonzero((vt <= tau) & (vt < v)))
-    hits = (v <= tau) & (v < vt)
-    return EValueVector(e=m * hits.astype(np.float64) / (1 + mirror_count))
+    return m * rej.mask.astype(np.float64) / (1 + mirror_count)
 
 
-def ebh(e: EValueVector, alpha: float) -> RejectionSet:
+def ebh(e: np.ndarray, alpha: float) -> RejectionSet:
     """e-BH step-up: reject the units carrying the ``khat`` largest e-values.
 
     ``khat = max{i : i * e_(i) / m >= 1 / alpha}`` over the descending order
     statistics; empty when no index qualifies.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    arr = e.e
+    _check_alpha(alpha)
+    arr = np.asarray(e, dtype=np.float64)
     m = len(arr)
     desc = np.sort(arr)[::-1]
-    ranks = np.arange(1, m + 1)
-    ok = ranks * desc / m >= 1.0 / alpha
-    if not np.any(ok):
-        return RejectionSet(indices=frozenset(), alpha=alpha)
-    khat = int(np.flatnonzero(ok)[-1]) + 1
-    cut = desc[khat - 1]
-    idx = np.flatnonzero(arr >= cut) + 1
-    return RejectionSet(indices=frozenset(int(i) for i in idx), alpha=alpha)
+    ok = np.flatnonzero(np.arange(1, m + 1) * desc / m >= 1.0 / alpha)
+    if ok.size == 0:
+        return RejectionSet(mask=np.zeros(m, dtype=bool), alpha=alpha)
+    return RejectionSet(mask=arr >= desc[ok[-1]], alpha=alpha)
 
 
 def _step_up(p: np.ndarray, level: float, alpha: float) -> RejectionSet:
     m = len(p)
-    if m == 0:
-        return RejectionSet(indices=frozenset(), alpha=alpha)
     order = np.sort(p)
-    ok = order <= level * np.arange(1, m + 1) / m
-    if not np.any(ok):
-        return RejectionSet(indices=frozenset(), alpha=alpha)
-    cut = order[np.flatnonzero(ok)[-1]]
-    idx = np.flatnonzero(p <= cut) + 1
-    return RejectionSet(indices=frozenset(int(i) for i in idx), alpha=alpha, threshold=float(cut))
+    ok = np.flatnonzero(order <= level * np.arange(1, m + 1) / m)
+    if ok.size == 0:
+        return RejectionSet(mask=np.zeros(m, dtype=bool), alpha=alpha)
+    cut = order[ok[-1]]
+    return RejectionSet(mask=p <= cut, alpha=alpha, threshold=float(cut))
 
 
-def bh(pvals: Sequence[float], alpha: float) -> RejectionSet:
+def bh(pvals: np.ndarray, alpha: float) -> RejectionSet:
     """Benjamini-Hochberg step-up at level ``alpha`` (1-based unit ids)."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     return _step_up(np.asarray(pvals, dtype=np.float64), alpha, alpha)
 
 
-def storey_bh(
-    pvals: Sequence[float], alpha: float, lambda_storey: float = 0.5
-) -> RejectionSet:
+def storey_bh(pvals: np.ndarray, alpha: float, lambda_storey: float = 0.5) -> RejectionSet:
     """BH at level ``alpha / pi0_hat`` with Storey's null-fraction estimate.
 
     ``pi0_hat = (1 + #{p_j > lambda}) / (m (1 - lambda))``, capped at 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if not 0.0 < lambda_storey < 1.0:
         raise ConfigError("lambda_storey must lie in (0, 1)")
     p = np.asarray(pvals, dtype=np.float64)
     if len(p) == 0:
-        return RejectionSet(indices=frozenset(), alpha=alpha)
+        return RejectionSet(mask=np.zeros(0, dtype=bool), alpha=alpha)
     pi0 = (1 + int(np.count_nonzero(p > lambda_storey))) / (len(p) * (1.0 - lambda_storey))
     pi0 = min(1.0, pi0)
     return _step_up(p, alpha / pi0, alpha)

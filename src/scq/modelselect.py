@@ -20,19 +20,12 @@ any processing order, any m, and any change to feature values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import (
-    RejectionSet,
-    ScorePair,
-    bh,
-    count_tied_pairs,
-    pairs_from_values,
-    pairs_to_arrays,
-)
+from .conformal import RejectionSet, ScorePairs, bh
 from .datamodel import InferenceData
 from .errors import AllCandidatesFailed, ConfigError, ScqError
 from .pipeline import (
@@ -40,6 +33,7 @@ from .pipeline import (
     SCQResult,
     WeightConfig,
     calibrate_pairs,
+    calibrated_result,
     candidate_pvalues,
     compute_weights,
     weighted_pairs,
@@ -106,22 +100,15 @@ class CoinStream:
         state = (np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) + j * _GOLDEN) & _MASK
         return (_splitmix64(state) >> np.uint64(63)).astype(np.int8)
 
-    def bit(self, j: int) -> int:
-        return int(self.bits(j)[-1])
 
-
-def preliminary_partition(p, p_tilde, alpha0: float) -> RejectionSet:
+def preliminary_partition(p: np.ndarray, p_tilde: np.ndarray, alpha0: float) -> RejectionSet:
     """BH on the pairwise-minimum p-values: a swap-invariant signal screen."""
     if not 0.0 < alpha0 < 1.0:
         raise ConfigError("alpha0 must lie in (0, 1)")
-    pv = np.array([q.value for q in p])
-    ptv = np.array([q.value for q in p_tilde])
-    return bh(np.minimum(pv, ptv), alpha0)
+    return bh(np.minimum(p, p_tilde), alpha0)
 
 
-def pseudo_scores(
-    pairs: Sequence[ScorePair], prelim: RejectionSet, coins: CoinStream
-) -> tuple[np.ndarray, np.ndarray]:
+def pseudo_scores(pairs: ScorePairs, prelim: RejectionSet, coins: CoinStream) -> ScorePairs:
     """Symmetrized pseudo pairs for selection.
 
     Preliminary rejections are ordered (min, max); the rest are ordered by
@@ -129,20 +116,13 @@ def pseudo_scores(
     a function of the unordered input pair and the coin alone, and its
     value multiset always equals the input pair's.
     """
-    v, vt = pairs_to_arrays(pairs)
-    m = len(v)
-    lo = np.minimum(v, vt)
-    hi = np.maximum(v, vt)
-    in_prelim = np.zeros(m, dtype=bool)
-    if prelim.indices:
-        idx = np.fromiter(prelim.indices, dtype=np.int64)
-        if idx.min() < 1 or idx.max() > m:
-            raise ConfigError("preliminary rejection ids outside 1..m")
-        in_prelim[idx - 1] = True
-    forward = in_prelim | (coins.bits(m) == 1)
-    u = np.where(forward, lo, hi)
-    u_tilde = np.where(forward, hi, lo)
-    return u, u_tilde
+    m = len(pairs)
+    if prelim.mask.shape != (m,):
+        raise ConfigError("preliminary rejection mask must cover units 1..m")
+    lo = np.minimum(pairs.v, pairs.vt)
+    hi = np.maximum(pairs.v, pairs.vt)
+    forward = prelim.mask | (coins.bits(m) == 1)
+    return ScorePairs(v=np.where(forward, lo, hi), vt=np.where(forward, hi, lo))
 
 
 @dataclass(frozen=True)
@@ -188,24 +168,49 @@ def _pseudo_rejection_count(
     alpha: float,
     coins: CoinStream,
 ):
-    w = compute_weights(data, scores.p, scores.p_tilde, weight_cfg)
+    w, est = compute_weights(data, scores.p, scores.p_tilde, weight_cfg)
     pairs = weighted_pairs(scores, w)
-    u, u_tilde = pseudo_scores(pairs, prelim, coins)
-    _, _, rej = calibrate_pairs(pairs_from_values(u, u_tilde), alpha)
-    return len(rej), pairs, w
+    _, _, rej = calibrate_pairs(pseudo_scores(pairs, prelim, coins), alpha)
+    return len(rej), pairs, w, est
 
 
-def _final_result(pairs, w, scores, alpha) -> SCQResult:
-    q, tau, rej = calibrate_pairs(pairs, alpha)
-    return SCQResult(
-        rejection=rej,
-        qvalues=q,
-        tau=tau,
-        pairs=tuple(pairs),
-        weights=w,
-        scores=scores,
-        num_tied_pairs=count_tied_pairs(pairs),
+def _select_candidate(toolbox, data, alpha, coins, alpha0, weight_cfg):
+    """Stage one of :func:`ptams`: the selection trace and the winner's run.
+
+    The winner's run is ``(scores, prelim, pairs, weights, sparsity)``.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError("alpha must lie in (0, 1)")
+    if alpha0 is None:
+        alpha0 = 2.0 * alpha
+    if not 0.0 < alpha0 < 1.0:
+        raise ConfigError("alpha0 must lie in (0, 1); pass alpha0 explicitly")
+
+    records = []
+    kept = {}
+    for k, (spec, name) in enumerate(zip(toolbox.candidates, toolbox.names), start=1):
+        try:
+            scores = candidate_pvalues(data, spec)
+            prelim = preliminary_partition(scores.p, scores.p_tilde, alpha0)
+            r_k, pairs, w, est = _pseudo_rejection_count(
+                scores, prelim, weight_cfg, data, alpha, coins
+            )
+        except ScqError as exc:
+            empty = RejectionSet(mask=np.zeros(data.m, dtype=bool), alpha=alpha0)
+            records.append(CandidateRecord(k=k, name=name, prelim=empty, r_k=-1, error=str(exc)))
+            continue
+        records.append(CandidateRecord(k=k, name=name, prelim=prelim, r_k=r_k))
+        kept[k] = (scores, prelim, pairs, w, est)
+
+    if not kept:
+        raise AllCandidatesFailed("every candidate in the toolbox failed to fit")
+    best = max(rec.r_k for rec in records)
+    winners = [rec.k for rec in records if rec.r_k == best]
+    selected = min(winners)
+    trace = SelectionTrace(
+        records=tuple(records), selected=selected, tie_rule_applied=len(winners) > 1
     )
+    return trace, kept[selected]
 
 
 def ptams(
@@ -228,46 +233,10 @@ def ptams(
     AllCandidatesFailed
         If no candidate fits.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    if alpha0 is None:
-        alpha0 = 2.0 * alpha
-    if not 0.0 < alpha0 < 1.0:
-        raise ConfigError("alpha0 must lie in (0, 1); pass alpha0 explicitly")
-
-    records = []
-    kept = {}
-    for k, (spec, name) in enumerate(zip(toolbox.candidates, toolbox.names), start=1):
-        try:
-            scores = candidate_pvalues(data, spec)
-            prelim = preliminary_partition(scores.p, scores.p_tilde, alpha0)
-            r_k, pairs, w = _pseudo_rejection_count(
-                scores, prelim, weight_cfg, data, alpha, coins
-            )
-        except ScqError as exc:
-            records.append(
-                CandidateRecord(
-                    k=k,
-                    name=name,
-                    prelim=RejectionSet(indices=frozenset(), alpha=alpha0),
-                    r_k=-1,
-                    error=str(exc),
-                )
-            )
-            continue
-        records.append(CandidateRecord(k=k, name=name, prelim=prelim, r_k=r_k))
-        kept[k] = (scores, pairs, w)
-
-    if not kept:
-        raise AllCandidatesFailed("every candidate in the toolbox failed to fit")
-    best = max(rec.r_k for rec in records)
-    winners = [rec.k for rec in records if rec.r_k == best]
-    selected = min(winners)
-    trace = SelectionTrace(
-        records=tuple(records), selected=selected, tie_rule_applied=len(winners) > 1
+    trace, (scores, _, pairs, w, est) = _select_candidate(
+        toolbox, data, alpha, coins, alpha0, weight_cfg
     )
-    scores, pairs, w = kept[selected]
-    return trace, _final_result(pairs, w, scores, alpha)
+    return trace, calibrated_result(scores, pairs, w, est, alpha)
 
 
 def ptams_plus(
@@ -281,11 +250,12 @@ def ptams_plus(
 ) -> tuple[SelectionTrace, float, SCQResult]:
     """Model selection followed by screening-threshold selection.
 
-    Stage one runs :func:`ptams` with the screening threshold pinned at
-    ``STAGE1_LAMBDA`` to pick the classifier; stage two sweeps the grid,
-    scoring each threshold by its pseudo-rejection count with the selected
-    classifier (ties go to the smallest threshold), and reruns the full
-    calibration with the winning pair.
+    Stage one runs the :func:`ptams` selection with the screening threshold
+    pinned at ``STAGE1_LAMBDA`` to pick the classifier; stage two reuses
+    that classifier's p-values and preliminary set, sweeps the grid,
+    scoring each threshold by its pseudo-rejection count (ties go to the
+    smallest threshold), and reruns the full calibration with the winning
+    pair.
     """
     grid = sorted(float(l) for l in lambda_grid)
     if not grid:
@@ -293,42 +263,16 @@ def ptams_plus(
     if any(not 0.0 < l < 1.0 for l in grid):
         raise ConfigError("lambda_grid values must lie in (0, 1)")
 
-    stage1_cfg = WeightConfig(
-        mode=weight_cfg.mode,
-        lam=STAGE1_LAMBDA,
-        bandwidth=weight_cfg.bandwidth,
-        oracle_pi=weight_cfg.oracle_pi,
+    trace, (scores, prelim, _, _, _) = _select_candidate(
+        toolbox, data, alpha, coins, alpha0, replace(weight_cfg, lam=STAGE1_LAMBDA)
     )
-    trace, _ = ptams(toolbox, data, alpha, coins, alpha0=alpha0, weight_cfg=stage1_cfg)
-    selected = trace.selected
-    spec = toolbox.candidates[selected - 1]
-
-    if alpha0 is None:
-        alpha0 = 2.0 * alpha
-    scores = candidate_pvalues(data, spec)
-    prelim = preliminary_partition(scores.p, scores.p_tilde, alpha0)
-
-    best_lam, best_r = None, -1
-    per_lam = {}
+    best = None
     for lam in grid:
-        cfg_l = WeightConfig(
-            mode=weight_cfg.mode,
-            lam=lam,
-            bandwidth=weight_cfg.bandwidth,
-            oracle_pi=weight_cfg.oracle_pi,
+        r_l, pairs, w, est = _pseudo_rejection_count(
+            scores, prelim, replace(weight_cfg, lam=lam), data, alpha, coins
         )
-        r_l, pairs, w = _pseudo_rejection_count(
-            scores, prelim, cfg_l, data, alpha, coins
-        )
-        per_lam[lam] = (pairs, w)
-        if r_l > best_r:
-            best_lam, best_r = lam, r_l
-
-    pairs, w = per_lam[best_lam]
-    trace = SelectionTrace(
-        records=trace.records,
-        selected=selected,
-        tie_rule_applied=trace.tie_rule_applied,
-        lambda_star=best_lam,
-    )
-    return trace, best_lam, _final_result(pairs, w, scores, alpha)
+        if best is None or r_l > best[0]:
+            best = (r_l, lam, pairs, w, est)
+    _, lam_star, pairs, w, est = best
+    trace = replace(trace, lambda_star=lam_star)
+    return trace, lam_star, calibrated_result(scores, pairs, w, est, alpha)

@@ -11,21 +11,18 @@ conformal p-values) live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .conformal import (
-    ConformalP,
     RejectionSet,
-    QValueVector,
-    ScorePair,
+    ScorePairs,
     bc_threshold,
     bh,
     build_pairs,
     conformal_pvalues,
     count_tied_pairs,
-    pairs_from_values,
     scq_qvalues,
     scq_reject,
     storey_bh,
@@ -34,6 +31,7 @@ from .datamodel import InferenceData
 from .errors import ConfigError
 from .scoring import ClassifierSpec, ScoreModel, TrainContext, fit_score, make_transductive_pool, score_batch
 from .weights import (
+    SparsityEstimate,
     WeightVector,
     estimate_sparsity,
     matrix_for_side,
@@ -69,17 +67,29 @@ class WeightConfig:
 
 @dataclass(frozen=True)
 class CandidateScores:
-    """A fitted model plus the conformal p-value pairs it induces."""
+    """A fitted model plus the conformal p-value numerators it induces.
+
+    The test and mirror p-values of unit ``j`` are ``num[j] / (n_cal + 1)``
+    and ``num_tilde[j] / (n_cal + 1)``.
+    """
 
     spec: ClassifierSpec
     model: ScoreModel
-    p: tuple
-    p_tilde: tuple
+    num: np.ndarray
+    num_tilde: np.ndarray
     n_cal: int
 
+    @property
+    def p(self) -> np.ndarray:
+        return self.num / (self.n_cal + 1)
 
-def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateScores:
-    """Fit one classifier and compute the (test, mirror) p-value pairs."""
+    @property
+    def p_tilde(self) -> np.ndarray:
+        return self.num_tilde / (self.n_cal + 1)
+
+
+def _fit(data: InferenceData, spec: ClassifierSpec) -> ScoreModel:
+    """Fit one classifier; PUC fits see the test + mirror + calibration pool."""
     if spec.family == "PUC":
         pool, n_pairs = make_transductive_pool(
             data.test.features, data.split.mirror, data.split.cal
@@ -92,32 +102,38 @@ def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateSco
         transductive_pool=pool,
         n_pairs=n_pairs,
     )
-    model = fit_score(spec, ctx)
+    return fit_score(spec, ctx)
+
+
+def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateScores:
+    """Fit one classifier and compute the (test, mirror) p-value numerators."""
+    model = _fit(data, spec)
     s_cal = score_batch(model, data.split.cal)
-    p = conformal_pvalues(s_cal, score_batch(model, data.test.features))
-    p_tilde = conformal_pvalues(s_cal, score_batch(model, data.split.mirror))
     return CandidateScores(
-        spec=spec, model=model, p=tuple(p), p_tilde=tuple(p_tilde), n_cal=len(s_cal)
+        spec=spec,
+        model=model,
+        num=conformal_pvalues(s_cal, score_batch(model, data.test.features)),
+        num_tilde=conformal_pvalues(s_cal, score_batch(model, data.split.mirror)),
+        n_cal=len(s_cal),
     )
 
 
 def compute_weights(
-    data: InferenceData,
-    p: Sequence[ConformalP],
-    p_tilde: Sequence[ConformalP],
-    cfg: WeightConfig,
-) -> WeightVector:
-    """Produce the per-unit weight vector for the configured mode."""
+    data: InferenceData, p: np.ndarray, p_tilde: np.ndarray, cfg: WeightConfig
+) -> tuple[WeightVector, Optional[SparsityEstimate]]:
+    """Per-unit weights for the configured mode, plus the sparsity estimate
+    they come from (``None`` unless the weights are learned)."""
     m = data.m
     if cfg.mode == "unit":
-        return WeightVector(w=np.ones(m))
+        return WeightVector(w=np.ones(m)), None
     if cfg.mode == "oracle":
         pi = np.asarray(cfg.oracle_pi, dtype=np.float64)
         if pi.shape[0] != m:
             raise ConfigError("oracle_pi length must equal m")
-        return oracle_weights(pi)
+        return oracle_weights(pi), None
     omega = matrix_for_side(data.test.side, cfg.bandwidth)
-    return structure_weights(estimate_sparsity(omega, p, p_tilde, cfg.lam))
+    est = estimate_sparsity(omega, p, p_tilde, cfg.lam)
+    return structure_weights(est), est
 
 
 def weighted_pairs(
@@ -125,51 +141,77 @@ def weighted_pairs(
     w: WeightVector,
     jitter: bool = False,
     rng: Optional[np.random.Generator] = None,
-) -> list[ScorePair]:
+) -> ScorePairs:
     """Weighted score pairs; optional jitter breaks exact p-value ties.
 
     Jitter adds ``u / (JITTER_SCALE * (N + 1))`` with independent uniform
     ``u`` to every p-value before weighting, small enough never to cross a
     grid step.  It destroys exact swap invariance and is off by default.
     """
-    if not jitter:
-        return build_pairs(scores.p, scores.p_tilde, w.w)
-    if rng is None:
-        raise ConfigError("jitter requires a random generator")
-    step = 1.0 / (JITTER_SCALE * (scores.n_cal + 1))
-    pv = np.array([q.value for q in scores.p]) + rng.random(len(scores.p)) * step
-    ptv = np.array([q.value for q in scores.p_tilde]) + rng.random(len(scores.p_tilde)) * step
-    return pairs_from_values(pv / w.w, ptv / w.w)
+    p, p_tilde = scores.p, scores.p_tilde
+    if jitter:
+        if rng is None:
+            raise ConfigError("jitter requires a random generator")
+        step = 1.0 / (JITTER_SCALE * (scores.n_cal + 1))
+        p = p + rng.random(len(p)) * step
+        p_tilde = p_tilde + rng.random(len(p_tilde)) * step
+    return build_pairs(p, p_tilde, w.w)
 
 
 @dataclass(frozen=True)
 class SCQResult:
-    """Everything one calibrated run produces."""
+    """Everything one calibrated run produces.
+
+    ``sparsity`` is the estimate the learned weights were built from, or
+    ``None`` for unit and oracle weights.
+    """
 
     rejection: RejectionSet
-    qvalues: QValueVector
+    qvalues: np.ndarray
     tau: Optional[float]
-    pairs: tuple
+    pairs: ScorePairs
     weights: WeightVector
     scores: CandidateScores
     num_tied_pairs: int
+    sparsity: Optional[SparsityEstimate] = None
 
     def report_dict(self) -> dict:
         return {
             "alpha": self.rejection.alpha,
             "tau": self.tau,
             "rejected": self.rejection.sorted(),
-            "qvalues": [float(q) for q in self.qvalues.q],
+            "qvalues": self.qvalues.tolist(),
             "num_tied_pairs": self.num_tied_pairs,
         }
 
 
-def calibrate_pairs(pairs: Sequence[ScorePair], alpha: float):
+def calibrate_pairs(pairs: ScorePairs, alpha: float):
     """Q-values, threshold, and rejections for prepared pairs."""
     q = scq_qvalues(pairs)
     tau, _ = bc_threshold(pairs, alpha)
     rej = scq_reject(q, alpha)
-    return q, tau, RejectionSet(indices=rej.indices, alpha=alpha, threshold=tau)
+    return q, tau, RejectionSet(mask=rej.mask, alpha=alpha, threshold=tau)
+
+
+def calibrated_result(
+    scores: CandidateScores,
+    pairs: ScorePairs,
+    w: WeightVector,
+    est: Optional[SparsityEstimate],
+    alpha: float,
+) -> SCQResult:
+    """Calibrate prepared pairs and bundle them with their inputs."""
+    q, tau, rej = calibrate_pairs(pairs, alpha)
+    return SCQResult(
+        rejection=rej,
+        qvalues=q,
+        tau=tau,
+        pairs=pairs,
+        weights=w,
+        scores=scores,
+        num_tied_pairs=count_tied_pairs(pairs),
+        sparsity=est,
+    )
 
 
 def run_scq(
@@ -182,18 +224,9 @@ def run_scq(
 ) -> SCQResult:
     """Full structure-adaptive run with one fixed classifier."""
     scores = candidate_pvalues(data, classifier)
-    w = compute_weights(data, scores.p, scores.p_tilde, weight_cfg)
+    w, est = compute_weights(data, scores.p, scores.p_tilde, weight_cfg)
     pairs = weighted_pairs(scores, w, jitter=jitter, rng=rng)
-    q, tau, rej = calibrate_pairs(pairs, alpha)
-    return SCQResult(
-        rejection=rej,
-        qvalues=q,
-        tau=tau,
-        pairs=tuple(pairs),
-        weights=w,
-        scores=scores,
-        num_tied_pairs=count_tied_pairs(pairs),
-    )
+    return calibrated_result(scores, pairs, w, est, alpha)
 
 
 def run_cfbh(
@@ -208,21 +241,7 @@ def run_cfbh(
     The mirror block carries no structural role here, so it is merged into
     the calibration set before ranking the test scores.
     """
-    if classifier.family == "PUC":
-        pool, n_pairs = make_transductive_pool(
-            data.test.features, data.split.mirror, data.split.cal
-        )
-    else:
-        pool, n_pairs = None, 0
-    ctx = TrainContext(
-        train_nulls=data.split.train,
-        labeled_outliers=data.labeled_outliers,
-        transductive_pool=pool,
-        n_pairs=n_pairs,
-    )
-    model = fit_score(classifier, ctx)
-    cal_full = np.vstack([data.split.cal, data.split.mirror])
-    s_cal = score_batch(model, cal_full)
-    p = conformal_pvalues(s_cal, score_batch(model, data.test.features))
-    pv = [q.value for q in p]
-    return storey_bh(pv, alpha, lambda_storey) if storey else bh(pv, alpha)
+    model = _fit(data, classifier)
+    s_cal = score_batch(model, np.vstack([data.split.cal, data.split.mirror]))
+    p = conformal_pvalues(s_cal, score_batch(model, data.test.features)) / (len(s_cal) + 1)
+    return storey_bh(p, alpha, lambda_storey) if storey else bh(p, alpha)

@@ -169,6 +169,8 @@ def _fit_gaussian(train: np.ndarray) -> dict:
     mean = train.mean(axis=0)
     cov = np.cov(train, rowvar=False, ddof=1) if n > 1 else np.zeros((p, p))
     cov = np.atleast_2d(cov)
+    if not np.all(np.isfinite(cov)):
+        raise DegenerateFit("covariance of the training nulls is not finite")
     chol, lam = _regularized_cholesky(cov, p)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return {"mean": mean, "chol": chol, "logdet": logdet, "lambda_reg": lam}
@@ -235,11 +237,7 @@ def _logistic_gd(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
     return w, b
 
 
-def fit_score(
-    spec: ClassifierSpec,
-    ctx: TrainContext,
-    rng: Optional[np.random.Generator] = None,
-) -> ScoreModel:
+def fit_score(spec: ClassifierSpec, ctx: TrainContext) -> ScoreModel:
     """Fit the score function described by ``spec`` on the given context.
 
     Parameters
@@ -248,16 +246,14 @@ def fit_score(
         Family, method, and hyperparameters.
     ctx : TrainContext
         Training nulls, labeled outliers, and (for PUC) the transductive pool.
-    rng : numpy.random.Generator, optional
-        Accepted for interface stability; current methods are fully
-        deterministic and never draw from it.
 
     Raises
     ------
     MissingOutliers
         For a BIC spec with no labeled outliers.
     DegenerateFit
-        When Gaussian covariance regularization is exhausted.
+        When the Gaussian covariance is not finite or its regularization
+        is exhausted.
     """
     train = ctx.train_nulls
     if train.shape[0] == 0:

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import ConformalP
 from .datamodel import SideInfo
 from .errors import ConfigError, PiOutOfRange, VariantMismatch
 
@@ -147,8 +146,8 @@ def matrix_for_side(side: SideInfo, bandwidth: Optional[float] = None) -> Weight
 
 def estimate_sparsity(
     omega: WeightMatrix,
-    p: Sequence[ConformalP],
-    p_tilde: Sequence[ConformalP],
+    p: np.ndarray,
+    p_tilde: np.ndarray,
     lam: float = 0.1,
 ) -> SparsityEstimate:
     """Screened neighborhood estimate of the local signal frequency.
@@ -161,13 +160,11 @@ def estimate_sparsity(
     """
     if not 0.0 < lam < 1.0:
         raise ConfigError("lambda must lie in (0, 1)")
-    m = omega.m
-    if not (len(p) == len(p_tilde) == m):
-        raise ConfigError("p-value lists must match the matrix size")
-    exceed = np.array(
-        [(pj.value > lam) + (ptj.value > lam) for pj, ptj in zip(p, p_tilde)],
-        dtype=np.float64,
-    )
+    p = np.asarray(p, dtype=np.float64)
+    p_tilde = np.asarray(p_tilde, dtype=np.float64)
+    if not (len(p) == len(p_tilde) == omega.m):
+        raise ConfigError("p-value arrays must match the matrix size")
+    exceed = (p > lam).astype(np.float64) + (p_tilde > lam)
     raw = 1.0 - omega.weighted_sums(exceed) / (2.0 * (1.0 - lam) * omega.row_sums())
     clipped = np.clip(raw, EPS_PI, 0.5 - EPS_PI)
     return SparsityEstimate(pi_hat=clipped, lam=lam, raw=raw)
@@ -195,15 +192,16 @@ def dump_weight_diagnostics(
     path, side: SideInfo, est: SparsityEstimate, wv: WeightVector
 ) -> None:
     """Write per-unit weight diagnostics as CSV (unit,side,pi_raw,pi_clipped,weight)."""
+    fmt = str if side.kind == "group" else repr
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit", "side", "pi_raw", "pi_clipped", "weight"])
-        for j in range(len(wv)):
-            side_val = (
-                str(int(side.values[j]))
-                if side.kind == "group"
-                else repr(float(side.values[j]))
+        writer.writerows(
+            zip(
+                range(1, len(wv) + 1),
+                map(fmt, side.values.tolist()),
+                map(repr, est.raw.tolist()),
+                map(repr, est.pi_hat.tolist()),
+                map(repr, wv.w.tolist()),
             )
-            writer.writerow(
-                [j + 1, side_val, repr(float(est.raw[j])), repr(float(est.pi_hat[j])), repr(float(wv.w[j]))]
-            )
+        )

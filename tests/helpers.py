@@ -1,39 +1,45 @@
 """Shared test utilities: brute-force oracles and instance generators.
 
 The oracles re-derive every quantity by direct enumeration of the
-definitions, independent of the package's sorted-sweep implementations.
+definitions, one unit and one grid point at a time, independent of the
+package's sorted-sweep implementations.  They read score pairs through
+the ``v`` and ``vt`` arrays of :class:`~scq.conformal.ScorePairs`.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from scq.bench import paper_synthetic_config
-from scq.conformal import ScorePair, mirror_stat, pairs_from_values
+from scq.conformal import ScorePairs, mirror_stat
 from scq.datamodel import InferenceData, generate_hierarchical, split_nulls
 
 
-def qvalues_bruteforce(pairs) -> list:
+def qvalues_bruteforce(pairs: ScorePairs) -> list:
     """Evaluate H at every grid point at or above v_j and take the minimum."""
-    grid = sorted({pr.v for pr in pairs} | {pr.v_tilde for pr in pairs})
+    v, vt = pairs.v.tolist(), pairs.vt.tolist()
+    grid = sorted(set(v) | set(vt))
     out = []
-    for pr in pairs:
-        if pr.v < pr.v_tilde:
-            hs = [mirror_stat(pairs, t) for t in grid if t >= pr.v]
+    for a, b in zip(v, vt):
+        if a < b:
+            hs = [mirror_stat(pairs, t) for t in grid if t >= a]
             out.append(min(min(hs), 1.0))
         else:
             out.append(1.0)
     return out
 
 
-def bc_bruteforce(pairs, alpha):
-    """Largest grid point with H <= alpha, and its rejection set."""
-    grid = sorted({pr.v for pr in pairs} | {pr.v_tilde for pr in pairs})
+def bc_bruteforce(pairs: ScorePairs, alpha):
+    """Largest grid point with H <= alpha, and its 1-based rejection set."""
+    v, vt = pairs.v.tolist(), pairs.vt.tolist()
+    grid = sorted(set(v) | set(vt))
     feasible = [t for t in grid if mirror_stat(pairs, t) <= alpha]
     if not feasible:
         return None, set()
     tau = max(feasible)
-    return tau, {pr.index for pr in pairs if pr.v <= tau and pr.v < pr.v_tilde}
+    return tau, {j for j, (a, b) in enumerate(zip(v, vt), start=1) if a <= tau and a < b}
 
 
 def bh_bruteforce(pvals, alpha) -> set:
@@ -64,7 +70,7 @@ def ebh_bruteforce(e, alpha) -> set:
     return {j + 1 for j in range(m) if e[j] >= cut}
 
 
-def random_pairs(rng: np.random.Generator, m: int) -> list:
+def random_pairs(rng: np.random.Generator, m: int) -> ScorePairs:
     """Score-pair instances mixing continuous values and tie-heavy grids."""
     if rng.random() < 0.5:
         v = rng.uniform(0.01, 1.5, size=m)
@@ -77,7 +83,25 @@ def random_pairs(rng: np.random.Generator, m: int) -> list:
     if m > 1 and rng.random() < 0.3:
         ties = rng.random(m) < 0.3
         vt = np.where(ties, v, vt)
-    return pairs_from_values(v, vt)
+    return ScorePairs(v=v, vt=vt)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count calls to ``fn`` made through any ``scq`` module namespace.
+
+    Every loaded ``scq`` module that binds ``fn`` by name gets a counting
+    wrapper; the returned list grows by one entry per call.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "scq" or name.startswith("scq.")) and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
 
 
 def make_synthetic_data(

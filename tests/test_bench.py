@@ -5,6 +5,7 @@ import pytest
 
 from scq.bench import (
     MethodSpec,
+    MetricsRow,
     attainment_config,
     compare,
     fdp,
@@ -35,21 +36,25 @@ def tiny_config(m=40, p=2, mu=3.0):
 
 class TestFdp:
     def test_half_false(self):
-        rej = RejectionSet(indices={1, 2}, alpha=0.1)
+        rej = RejectionSet(mask=[True, True, False], alpha=0.1)
         assert fdp(rej, [False, True, True]) == 0.5
 
     def test_empty_rejection_floor(self):
-        assert fdp(RejectionSet(indices=set(), alpha=0.1), [True, False]) == 0.0
+        assert fdp(RejectionSet(mask=[False, False], alpha=0.1), [True, False]) == 0.0
 
     def test_all_rejected_all_true(self):
-        rej = RejectionSet(indices={1, 2, 3}, alpha=0.1)
+        rej = RejectionSet(mask=[True, True, True], alpha=0.1)
         assert fdp(rej, [True, True, True]) == 0.0
 
     def test_power_and_tp(self):
-        rej = RejectionSet(indices={1, 3}, alpha=0.1)
+        rej = RejectionSet(mask=[True, False, True, False], alpha=0.1)
         truth = [True, True, False, True]
         assert true_positives(rej, truth) == 1
         assert power(rej, truth) == pytest.approx(1 / 3)
+
+    def test_mask_length_must_match_truth(self):
+        with pytest.raises(ConfigError):
+            fdp(RejectionSet(mask=[True, False, True], alpha=0.1), [True, False])
 
 
 class TestRunReplications:
@@ -162,6 +167,7 @@ class TestOutputs:
         doc = json.loads((tmp_path / "m.json").read_text())
         assert doc["param_value"] == 2.0
         assert doc["rows"][0]["method"] == "scq-gauss"
+        assert [MetricsRow.from_dict(row) for row in doc["rows"]] == rows
 
     def test_long_format(self, tmp_path):
         rows = compare([SCQ_GAUSS], tiny_config(), reps=2, master_seed=7)

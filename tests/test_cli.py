@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from helpers import count_calls
 from scq.cli import main
+from scq.weights import estimate_sparsity
 
 
 @pytest.fixture
@@ -149,6 +151,31 @@ class TestInfer:
         report = json.loads((out / "report.json").read_text())
         assert report["rejected"] == []
         assert report["tau"] is None
+
+    def test_weights_estimated_once(self, tmp_path, infer_config, monkeypatch):
+        # weights.csv is written from the estimate the run already made
+        data = tmp_path / "signal.csv"
+        write_signal_csv(data)
+        calls = count_calls(monkeypatch, estimate_sparsity)
+        out = tmp_path / "out"
+        assert main(["infer", str(data), "--config", str(infer_config), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert (out / "weights.csv").exists()
+
+    @pytest.mark.parametrize("method", ["gaussian", "kde"])
+    def test_huge_features_exit_two(self, tmp_path, method, capsys):
+        # finite features near 1e160 overflow the fit: exit 2, no traceback
+        data = tmp_path / "huge.csv"
+        write_signal_csv(data)
+        lines = data.read_text().splitlines()
+        rows = [",".join(c if i < 2 else repr(float(c) * 1e160) for i, c in enumerate(line.split(",")))
+                for line in lines[1:]]
+        data.write_text("\n".join([lines[0]] + rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifier": {"family": "OCC", "method": method}}))
+        rc = main(["infer", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("failure:")
 
     def test_no_test_rows_exit_one(self, tmp_path, infer_config, capsys):
         data = tmp_path / "empty.csv"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_synthetic_data, random_pairs, swap_inference_pairs
-from scq.conformal import ConformalP, RejectionSet, pairs_from_values
+from helpers import count_calls, make_synthetic_data, random_pairs, swap_inference_pairs
+from scq.conformal import RejectionSet, ScorePairs
 from scq.errors import AllCandidatesFailed, ConfigError
 from scq.modelselect import (
     CoinStream,
@@ -17,11 +17,19 @@ from scq.modelselect import (
     ptams_plus,
 )
 from scq.pipeline import WeightConfig, run_scq
-from scq.scoring import ClassifierSpec
+from scq.scoring import ClassifierSpec, fit_score
 
 
-def cp(num, n):
-    return ConformalP(numerator=num, n_cal=n)
+def cp(nums, n):
+    """Conformal p-values ``num / (n + 1)`` for an array of numerators."""
+    return np.asarray(nums) / (n + 1)
+
+
+def mask(m, ids):
+    """Rejection mask over units 1..m with the given 1-based ids set."""
+    out = np.zeros(m, dtype=bool)
+    out[np.asarray(list(ids), dtype=np.int64) - 1] = True
+    return out
 
 
 TOOLBOX = Toolbox(
@@ -63,42 +71,47 @@ class TestCoinStream:
 
 class TestPreliminaryPartition:
     def test_all_ones_empty(self):
-        ones = [cp(10, 9)] * 4
+        ones = cp([10] * 4, 9)
         assert len(preliminary_partition(ones, ones, 0.1)) == 0
 
     def test_single_strong_unit(self):
         # m=5, smallest possible p-value 1/100 <= alpha0/m = 0.02
-        p = [cp(1, 99)] + [cp(100, 99)] * 4
-        pt = [cp(100, 99)] * 5
+        p = cp([1, 100, 100, 100, 100], 99)
+        pt = cp([100] * 5, 99)
         rej = preliminary_partition(p, pt, 0.1)
         assert rej.sorted() == [1]
 
     def test_swap_every_pair_identical(self):
         rng = np.random.default_rng(0)
-        p = [cp(int(k), 19) for k in rng.integers(1, 21, size=12)]
-        pt = [cp(int(k), 19) for k in rng.integers(1, 21, size=12)]
+        p = cp(rng.integers(1, 21, size=12), 19)
+        pt = cp(rng.integers(1, 21, size=12), 19)
         a = preliminary_partition(p, pt, 0.2)
         b = preliminary_partition(pt, p, 0.2)
-        assert a.indices == b.indices
+        np.testing.assert_array_equal(a.mask, b.mask)
 
 
 class TestPseudoScores:
     def test_min_max_on_preliminary(self):
-        pairs = pairs_from_values([0.3], [0.1])
-        prelim = RejectionSet(indices={1}, alpha=0.1)
-        u, ut = pseudo_scores(pairs, prelim, CoinStream(seed=0))
-        assert (u[0], ut[0]) == (0.1, 0.3)
+        pairs = ScorePairs(v=[0.3], vt=[0.1])
+        prelim = RejectionSet(mask=[True], alpha=0.1)
+        pseudo = pseudo_scores(pairs, prelim, CoinStream(seed=0))
+        assert (pseudo.v[0], pseudo.vt[0]) == (0.1, 0.3)
+
+    def test_mask_must_cover_every_unit(self):
+        pairs = ScorePairs(v=[0.3, 0.2], vt=[0.1, 0.4])
+        with pytest.raises(ConfigError):
+            pseudo_scores(pairs, RejectionSet(mask=[True], alpha=0.1), CoinStream(seed=0))
 
     def test_coin_branch_orients_pair(self):
-        pairs = pairs_from_values([0.3], [0.1])
-        empty = RejectionSet(indices=set(), alpha=0.1)
+        pairs = ScorePairs(v=[0.3], vt=[0.1])
+        empty = RejectionSet(mask=[False], alpha=0.1)
         # find seeds for both coin outcomes at unit 1
         seed_one = next(s for s in range(100) if CoinStream(seed=s).bits(1)[0] == 1)
         seed_zero = next(s for s in range(100) if CoinStream(seed=s).bits(1)[0] == 0)
-        u, ut = pseudo_scores(pairs, empty, CoinStream(seed=seed_one))
-        assert (u[0], ut[0]) == (0.1, 0.3)
-        u, ut = pseudo_scores(pairs, empty, CoinStream(seed=seed_zero))
-        assert (u[0], ut[0]) == (0.3, 0.1)
+        pseudo = pseudo_scores(pairs, empty, CoinStream(seed=seed_one))
+        assert (pseudo.v[0], pseudo.vt[0]) == (0.1, 0.3)
+        pseudo = pseudo_scores(pairs, empty, CoinStream(seed=seed_zero))
+        assert (pseudo.v[0], pseudo.vt[0]) == (0.3, 0.1)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -108,29 +121,25 @@ class TestPseudoScores:
     def test_multiset_identity(self, m, seed):
         rng = np.random.default_rng(seed)
         pairs = random_pairs(rng, m)
-        prelim_ids = {int(j) for j in np.flatnonzero(rng.random(m) < 0.3) + 1}
-        prelim = RejectionSet(indices=prelim_ids, alpha=0.1)
-        u, ut = pseudo_scores(pairs, prelim, CoinStream(seed=seed))
-        for pr, a, b in zip(pairs, u, ut):
-            assert {a, b} == {pr.v, pr.v_tilde}
+        prelim = RejectionSet(mask=rng.random(m) < 0.3, alpha=0.1)
+        pseudo = pseudo_scores(pairs, prelim, CoinStream(seed=seed))
+        for a, b, v, vt in zip(pseudo.v, pseudo.vt, pairs.v, pairs.vt):
+            assert {a, b} == {v, vt}
 
     def test_swap_invariance_fixed_coins(self):
         rng = np.random.default_rng(1)
         m = 30
         pairs = random_pairs(rng, m)
-        swapped = [
-            pairs_from_values([pr.v_tilde], [pr.v])[0] if s else pr
-            for pr, s in zip(pairs, rng.random(m) < 0.5)
-        ]
-        swapped = pairs_from_values(
-            [pr.v for pr in swapped], [pr.v_tilde for pr in swapped]
+        swap = rng.random(m) < 0.5
+        swapped = ScorePairs(
+            v=np.where(swap, pairs.vt, pairs.v), vt=np.where(swap, pairs.v, pairs.vt)
         )
-        prelim = RejectionSet(indices={1, 5}, alpha=0.1)
+        prelim = RejectionSet(mask=mask(m, {1, 5}), alpha=0.1)
         coins = CoinStream(seed=3)
-        u1, ut1 = pseudo_scores(pairs, prelim, coins)
-        u2, ut2 = pseudo_scores(swapped, prelim, coins)
-        np.testing.assert_array_equal(u1, u2)
-        np.testing.assert_array_equal(ut1, ut2)
+        a = pseudo_scores(pairs, prelim, coins)
+        b = pseudo_scores(swapped, prelim, coins)
+        np.testing.assert_array_equal(a.v, b.v)
+        np.testing.assert_array_equal(a.vt, b.vt)
 
 
 class TestPtams:
@@ -140,8 +149,8 @@ class TestPtams:
         trace, result = ptams(toolbox, data, alpha=0.1, coins=CoinStream(seed=8))
         plain = run_scq(data, ClassifierSpec("OCC", "kde"), WeightConfig(), alpha=0.1)
         assert trace.selected == 1
-        assert result.rejection.indices == plain.rejection.indices
-        np.testing.assert_array_equal(result.qvalues.q, plain.qvalues.q)
+        assert result.rejection.sorted() == plain.rejection.sorted()
+        np.testing.assert_array_equal(result.qvalues, plain.qvalues)
 
     def test_selection_swap_invariant(self):
         coins = CoinStream(seed=11)
@@ -202,8 +211,19 @@ class TestPtamsPlus:
         )
         assert lam == 0.1
         assert trace_b.selected == trace_a.selected
-        assert result_b.rejection.indices == result_a.rejection.indices
-        np.testing.assert_array_equal(result_b.qvalues.q, result_a.qvalues.q)
+        assert result_b.rejection.sorted() == result_a.rejection.sorted()
+        np.testing.assert_array_equal(result_b.qvalues, result_a.qvalues)
+
+    def test_reuses_stage_one_fit(self, monkeypatch):
+        # K candidates cost K fits: the winner's stage-one scores are reused
+        data = make_synthetic_data(m=60, p=3, mu=3.0, seed=9)
+        fits = count_calls(monkeypatch, fit_score)
+        trace, _, result = ptams_plus(
+            TOOLBOX, data, alpha=0.1, coins=CoinStream(seed=2), lambda_grid=[0.05, 0.3]
+        )
+        assert len(fits) == len(TOOLBOX)
+        assert result.scores.spec == TOOLBOX.candidates[trace.selected - 1]
+        assert result.sparsity.lam == trace.lambda_star
 
     def test_lambda_star_swap_invariant(self):
         coins = CoinStream(seed=21)

@@ -9,6 +9,7 @@ from scq.conformal import bh
 from scq.errors import ConfigError
 from scq.pipeline import WeightConfig, run_cfbh, run_scq
 from scq.scoring import ClassifierSpec
+from scq.weights import structure_weights
 
 GAUSS = ClassifierSpec("OCC", "gaussian")
 
@@ -17,8 +18,9 @@ class TestWeightModes:
     def test_unit_mode_uses_raw_pvalues(self):
         data = make_synthetic_data(m=50, p=2, mu=3.0, seed=0)
         res = run_scq(data, GAUSS, WeightConfig(mode="unit"), alpha=0.1)
-        p = [q.value for q in res.scores.p]
-        assert [pr.v for pr in res.pairs] == p
+        np.testing.assert_array_equal(res.pairs.v, res.scores.num / (res.scores.n_cal + 1))
+        np.testing.assert_array_equal(res.pairs.vt, res.scores.p_tilde)
+        assert res.sparsity is None
 
     def test_oracle_mode(self):
         cfg = paper_synthetic_config(m=50, p=2, mu=3.0)
@@ -35,6 +37,12 @@ class TestWeightModes:
     def test_structure_is_default(self):
         assert WeightConfig().mode == "structure"
 
+    def test_result_carries_its_sparsity_estimate(self):
+        data = make_synthetic_data(m=50, p=2, mu=3.0, seed=0)
+        res = run_scq(data, GAUSS, WeightConfig(lam=0.3), alpha=0.1)
+        assert res.sparsity.lam == 0.3
+        np.testing.assert_array_equal(structure_weights(res.sparsity).w, res.weights.w)
+
 
 class TestJitter:
     def test_breaks_ties_without_moving_ranks(self):
@@ -47,8 +55,8 @@ class TestJitter:
         )
         assert jittered.num_tied_pairs == 0
         # perturbation is smaller than one grid step
-        for a, b in zip(plain.pairs, jittered.pairs):
-            assert 0.0 <= b.v - a.v < 1.0 / (plain.scores.n_cal + 1)
+        shift = jittered.pairs.v - plain.pairs.v
+        assert np.all((0.0 <= shift) & (shift < 1.0 / (plain.scores.n_cal + 1)))
 
     def test_jitter_requires_rng(self):
         data = make_synthetic_data(m=20, p=2, mu=1.0, seed=4)
@@ -72,14 +80,14 @@ class TestCfbh:
         data = make_synthetic_data(m=200, p=5, mu=3.0, seed=6)
         rej = run_cfbh(data, GAUSS, alpha=0.1, storey=True)
         truth = data.test.truth
-        hits = sum(1 for j in rej.indices if truth[j - 1])
+        hits = np.count_nonzero(rej.mask & truth)
         assert hits > 0.5 * truth.sum()
 
     def test_plain_bh_variant(self):
         data = make_synthetic_data(m=100, p=2, mu=3.0, seed=7)
         rej_bh = run_cfbh(data, GAUSS, alpha=0.1, storey=False)
         rej_st = run_cfbh(data, GAUSS, alpha=0.1, storey=True)
-        assert rej_bh.indices <= rej_st.indices
+        assert np.all(rej_bh.mask <= rej_st.mask)
 
     def test_null_only_rarely_rejects(self):
         # pooled over seeds: false rejections stay near the target rate
@@ -89,6 +97,6 @@ class TestCfbh:
             null_test = data.test
             rej = run_cfbh(data, GAUSS, alpha=0.05)
             truth = null_test.truth
-            false = sum(1 for j in rej.indices if not truth[j - 1])
+            false = np.count_nonzero(rej.mask & ~truth)
             total_fdp.append(false / max(1, len(rej)))
         assert np.mean(total_fdp) <= 0.05 + 2 * np.std(total_fdp) / np.sqrt(30) + 1e-9

@@ -79,6 +79,12 @@ class TestGaussian:
         )
         assert np.isfinite(score(model, np.array([1.0, 2.0])))
 
+    def test_overflowing_covariance_is_degenerate(self):
+        # finite features whose squares overflow: a typed error, not scipy's ValueError
+        train = np.random.default_rng(0).standard_normal((50, 3)) * 1e160
+        with pytest.raises(DegenerateFit):
+            fit_score(ClassifierSpec("OCC", "gaussian"), TrainContext(train_nulls=train))
+
 
 class TestKnn:
     def test_occ_exhaustive_distances(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_synthetic_data
-from scq.conformal import ConformalP, conformal_pvalues
 from scq.datamodel import SideInfo
 from scq.errors import PiOutOfRange, VariantMismatch
 from scq.pipeline import WeightConfig, candidate_pvalues, compute_weights
@@ -21,8 +20,9 @@ from scq.weights import (
 )
 
 
-def cp(num, n):
-    return ConformalP(numerator=num, n_cal=n)
+def cp(nums, n):
+    """Conformal p-values ``num / (n + 1)`` for an array of numerators."""
+    return np.asarray(nums) / (n + 1)
 
 
 class TestWeightMatrix:
@@ -77,7 +77,7 @@ class TestEstimateSparsity:
         side = SideInfo("group", [1, 1])
         omega = weight_matrix(side, "group")
         est = estimate_sparsity(
-            omega, [cp(6, 9), cp(2, 9)], [cp(7, 9), cp(9, 9)], lam=0.5
+            omega, cp([6, 2], 9), cp([7, 9], 9), lam=0.5
         )
         np.testing.assert_allclose(est.raw, [-0.5, -0.5])
         np.testing.assert_allclose(est.pi_hat, [EPS_PI, EPS_PI])
@@ -85,7 +85,7 @@ class TestEstimateSparsity:
     def test_pure_null_saturation(self):
         side = SideInfo("group", [1, 1, 1])
         omega = weight_matrix(side, "group")
-        ones = [cp(10, 9)] * 3
+        ones = cp([10] * 3, 9)
         est = estimate_sparsity(omega, ones, ones, lam=0.5)
         np.testing.assert_allclose(est.raw, [-1.0, -1.0, -1.0])
         np.testing.assert_allclose(est.pi_hat, [EPS_PI] * 3)
@@ -93,7 +93,7 @@ class TestEstimateSparsity:
     def test_all_signal_saturation(self):
         side = SideInfo("group", [1, 1])
         omega = weight_matrix(side, "group")
-        tiny = [cp(1, 99)] * 2
+        tiny = cp([1] * 2, 99)
         est = estimate_sparsity(omega, tiny, tiny, lam=0.5)
         np.testing.assert_allclose(est.raw, [1.0, 1.0])
         np.testing.assert_allclose(est.pi_hat, [0.5 - EPS_PI] * 2)
@@ -103,13 +103,13 @@ class TestEstimateSparsity:
     def test_swap_invariance_exact(self, m, seed):
         rng = np.random.default_rng(seed)
         n_cal = int(rng.integers(3, 40))
-        p = [cp(int(k), n_cal) for k in rng.integers(1, n_cal + 2, size=m)]
-        pt = [cp(int(k), n_cal) for k in rng.integers(1, n_cal + 2, size=m)]
+        p = cp(rng.integers(1, n_cal + 2, size=m), n_cal)
+        pt = cp(rng.integers(1, n_cal + 2, size=m), n_cal)
         side = SideInfo("position", rng.uniform(0, 10, size=m))
         omega = matrix_for_side(side)
         swap = rng.random(m) < 0.5
-        p2 = [b if s else a for a, b, s in zip(p, pt, swap)]
-        pt2 = [a if s else b for a, b, s in zip(p, pt, swap)]
+        p2 = np.where(swap, pt, p)
+        pt2 = np.where(swap, p, pt)
         lam = float(rng.uniform(0.05, 0.9))
         est1 = estimate_sparsity(omega, p, pt, lam)
         est2 = estimate_sparsity(omega, p2, pt2, lam)
@@ -127,8 +127,8 @@ class TestEstimateSparsity:
         nums = rng.integers(1, n_cal + 2, size=m)
         nums[: m // 2] = 1
         nums[m // 2 :] = n_cal + 1
-        p = [cp(int(k), n_cal) for k in nums]
-        pt = [cp(int(k), n_cal) for k in nums[::-1]]
+        p = cp(nums, n_cal)
+        pt = cp(nums[::-1], n_cal)
         side = SideInfo("group", rng.integers(0, 3, size=m))
         est = estimate_sparsity(matrix_for_side(side), p, pt, 0.5)
         w = structure_weights(est).w
@@ -180,6 +180,6 @@ class TestConsistencyDirection:
         for seed in range(runs):
             data = make_synthetic_data(m=200, p=5, mu=3.0, seed=seed)
             scores = candidate_pvalues(data, ClassifierSpec("OCC", "gaussian"))
-            w = compute_weights(data, scores.p, scores.p_tilde, WeightConfig()).w
+            w = compute_weights(data, scores.p, scores.p_tilde, WeightConfig())[0].w
             wins += w[block].mean() > w[background].mean()
         assert wins >= 95
