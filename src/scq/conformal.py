@@ -18,6 +18,7 @@ Test units are numbered 1..m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,23 @@ class ScorePairs:
 
     def __len__(self) -> int:
         return len(self.v)
+
+    @cached_property
+    def _mirror_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """H evaluated on the merged sorted grid of all 2m scores.
+
+        Returns (grid, H-on-grid).  A single sorted sweep: numerator events
+        sit at mirror scores of reversed pairs, denominator events at test
+        scores of forward pairs.  Built once per pairs object, so the
+        q-values and the threshold of one calibration share it.
+        """
+        v, vt = self.v, self.vt
+        grid = np.sort(np.concatenate([v, vt]))
+        num_events = np.sort(vt[vt < v])
+        den_events = np.sort(v[v < vt])
+        num = 1 + np.searchsorted(num_events, grid, side="right")
+        den = np.maximum(1, np.searchsorted(den_events, grid, side="right"))
+        return grid, num / den
 
 
 @dataclass(frozen=True)
@@ -115,21 +133,6 @@ def mirror_stat(pairs: ScorePairs, t: float) -> float:
     return num / den
 
 
-def _grid_mirror(v: np.ndarray, vt: np.ndarray):
-    """H evaluated on the merged sorted grid of all 2m scores.
-
-    Returns (grid, H-on-grid).  A single sorted sweep: numerator events sit
-    at mirror scores of reversed pairs, denominator events at test scores
-    of forward pairs.
-    """
-    grid = np.sort(np.concatenate([v, vt]))
-    num_events = np.sort(vt[vt < v])
-    den_events = np.sort(v[v < vt])
-    num = 1 + np.searchsorted(num_events, grid, side="right")
-    den = np.maximum(1, np.searchsorted(den_events, grid, side="right"))
-    return grid, num / den
-
-
 def scq_qvalues(pairs: ScorePairs) -> np.ndarray:
     """Conformal q-values: running minima of ``H`` over the merged score grid.
 
@@ -140,7 +143,7 @@ def scq_qvalues(pairs: ScorePairs) -> np.ndarray:
     if len(pairs) == 0:
         raise ConfigError("pairs must be nonempty")
     v, vt = pairs.v, pairs.vt
-    grid, h = _grid_mirror(v, vt)
+    grid, h = pairs._mirror_grid
     # min over grid points >= v_j, via suffix minima of H
     suffix_min = np.minimum.accumulate(h[::-1])[::-1]
     q = np.ones(len(v))
@@ -170,7 +173,7 @@ def bc_threshold(pairs: ScorePairs, alpha: float) -> tuple[Optional[float], Reje
     """
     _check_alpha(alpha)
     v, vt = pairs.v, pairs.vt
-    grid, h = _grid_mirror(v, vt)
+    grid, h = pairs._mirror_grid
     ok = np.flatnonzero(h <= alpha)
     if ok.size == 0:
         return None, RejectionSet(mask=np.zeros(len(v), dtype=bool), alpha=alpha)

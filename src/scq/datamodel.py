@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     InsufficientNulls,
     NonFiniteFeature,
+    NonFiniteSideInfo,
     ParseError,
     SchemaMismatch,
 )
@@ -53,7 +54,7 @@ class SideInfo:
 
     The variant is uniform across a test set: ``kind`` is ``"group"`` for
     integer category labels and ``"position"`` for real-valued locations
-    (indices, timestamps).
+    (indices, timestamps), which must be finite.
     """
 
     kind: str
@@ -63,7 +64,13 @@ class SideInfo:
         if self.kind not in ("group", "position"):
             raise ConfigError(f"unknown side-info kind {self.kind!r}")
         dtype = np.int64 if self.kind == "group" else np.float64
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=dtype))
+        values = np.asarray(self.values, dtype=dtype)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteSideInfo(
+                f"positional side info must be finite: unit {bad[0] + 1} is {float(values[bad[0]])}"
+            )
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)

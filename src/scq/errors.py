@@ -39,6 +39,10 @@ class NonFiniteFeature(UsageError):
     """A feature cell is NaN or infinite."""
 
 
+class NonFiniteSideInfo(UsageError):
+    """A positional side-information value is NaN or infinite."""
+
+
 class MissingOutliers(UsageError):
     """A binary classifier was requested without labeled outliers."""
 

@@ -8,6 +8,17 @@ transform.  Because the estimator only sees ``1{p > lambda} + 1{pt > lambda}``
 per unit, it is exactly invariant under swapping any subset of
 (test, mirror) pairs, which is what lets the weighted pairs feed the
 mirror calibration without breaking its validity.
+
+Kernel aggregation takes one of two exact paths, chosen from the side
+information alone.  When every position sits on an integer lattice
+(``s - min(s)`` integral, span below ``_LATTICE_SPAN_PER_UNIT * m``, as
+for the default positions ``1..m``), the Gaussian sum over units is a
+discrete convolution: the columns are binned onto the lattice, with
+duplicates added, and convolved by FFT with the kernel evaluated at each
+integer offset, in O(m log m).  The kernel is evaluated at the same scaled
+distances ``(s_i - s_j) / h`` as on the dense path, so the two paths differ
+only in summation order, at roundoff.  Any other positions take the dense
+O(m^2) path in row chunks.
 """
 
 from __future__ import annotations
@@ -23,6 +34,21 @@ from .errors import ConfigError, PiOutOfRange, VariantMismatch
 
 EPS_PI = 1e-3
 _KERNEL_CHUNK = 512
+# Lattice positions take the FFT path while their span stays below this
+# multiple of m, which keeps the convolution grid O(m).
+_LATTICE_SPAN_PER_UNIT = 16
+
+
+def _gaussian(d: np.ndarray, h: float) -> np.ndarray:
+    """Gaussian kernel at scaled distances ``d = (s_i - s_j) / h``."""
+    return np.exp(-0.5 * d * d) / (h * np.sqrt(2.0 * np.pi))
+
+
+def _binned(idx: np.ndarray, x: np.ndarray, n_bins: int) -> np.ndarray:
+    """Sums of the rows of ``x`` that share a bin index, added in row order."""
+    out = np.zeros((n_bins,) + x.shape[1:])
+    np.add.at(out, idx, x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -32,8 +58,13 @@ class WeightMatrix:
     ``kind`` is ``"group"`` (0/1 same-category indicator, diagonal all
     ones) or ``"kernel"`` (Gaussian kernel on pairwise position distances
     with bandwidth ``bandwidth``).  Rows are never materialized unless
-    :meth:`dense` is called; aggregation helpers preserve exact row
-    semantics.
+    :meth:`dense` is called.  :meth:`weighted_sums` aggregates group
+    indicators by summing within groups; it aggregates the kernel by one FFT
+    convolution when the positions lie on an integer lattice (the default
+    positions ``1..m`` do) and by dense row chunks otherwise.  Both kernel
+    paths evaluate the kernel at the distances :meth:`dense` uses, so they
+    agree with it to roundoff; :meth:`dense` is the reference the tests
+    compare against.
     """
 
     side: SideInfo
@@ -51,28 +82,48 @@ class WeightMatrix:
         return len(self.side)
 
     def _kernel_block(self, rows: np.ndarray) -> np.ndarray:
-        s = self.side.values.astype(np.float64)
-        h = self.bandwidth
-        d = (s[rows, None] - s[None, :]) / h
-        return np.exp(-0.5 * d * d) / (h * np.sqrt(2.0 * np.pi))
+        s = self.side.values
+        return _gaussian((s[rows, None] - s[None, :]) / self.bandwidth, self.bandwidth)
+
+    def _lattice_index(self) -> Optional[np.ndarray]:
+        """Lattice offset of each unit, or ``None`` when positions are not on
+        an integer lattice of span below ``_LATTICE_SPAN_PER_UNIT * m``."""
+        off = self.side.values - self.side.values.min()
+        if np.any(off != np.floor(off)) or off.max() >= _LATTICE_SPAN_PER_UNIT * self.m:
+            return None
+        return off.astype(np.int64)
 
     def weighted_sums(self, x: np.ndarray) -> np.ndarray:
-        """Column aggregation ``(sum_i omega_ij * x_i : j = 1..m)``."""
+        """Column aggregation ``(sum_i omega_ij * x_i : j = 1..m)``.
+
+        ``x`` has shape ``(m,)`` or ``(m, k)``; each column is aggregated
+        and the result has the shape of ``x``.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.m:
             raise ConfigError("aggregation vector length must equal m")
         if self.kind == "group":
-            _, inv = np.unique(self.side.values, return_inverse=True)
-            sums = np.bincount(inv, weights=x)
-            return sums[inv]
-        out = np.empty(self.m)
+            groups, idx = np.unique(self.side.values, return_inverse=True)
+            return _binned(idx, x, len(groups))[idx]
+        idx = self._lattice_index() if self.m else None
+        if idx is not None:
+            return self._lattice_sums(idx, x)
+        out = np.empty_like(x)
         for start in range(0, self.m, _KERNEL_CHUNK):
             rows = np.arange(start, min(start + _KERNEL_CHUNK, self.m))
             out[rows] = self._kernel_block(rows) @ x
         return out
 
-    def row_sums(self) -> np.ndarray:
-        return self.weighted_sums(np.ones(self.m))
+    def _lattice_sums(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Kernel aggregation of lattice positions as one FFT convolution."""
+        g = int(idx.max()) + 1
+        taps = _gaussian(np.arange(1 - g, g) / self.bandwidth, self.bandwidth)
+        # linear convolution: a length >= 2g - 1 keeps the wrap-around out of
+        # the g outputs read back
+        n = 1 << (2 * g - 2).bit_length()
+        spectrum = np.fft.rfft(taps, n).reshape((-1,) + (1,) * (x.ndim - 1))
+        conv = np.fft.irfft(np.fft.rfft(_binned(idx, x, g), n, axis=0) * spectrum, n, axis=0)
+        return conv[idx + g - 1]
 
     def dense(self) -> np.ndarray:
         """Materialize the full matrix (intended for small m / tests)."""
@@ -165,7 +216,8 @@ def estimate_sparsity(
     if not (len(p) == len(p_tilde) == omega.m):
         raise ConfigError("p-value arrays must match the matrix size")
     exceed = (p > lam).astype(np.float64) + (p_tilde > lam)
-    raw = 1.0 - omega.weighted_sums(exceed) / (2.0 * (1.0 - lam) * omega.row_sums())
+    num, row_sums = omega.weighted_sums(np.column_stack([exceed, np.ones(omega.m)])).T
+    raw = 1.0 - num / (2.0 * (1.0 - lam) * row_sums)
     clipped = np.clip(raw, EPS_PI, 0.5 - EPS_PI)
     return SparsityEstimate(pi_hat=clipped, lam=lam, raw=raw)
 

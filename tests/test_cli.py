@@ -8,6 +8,7 @@ import pytest
 
 from helpers import count_calls
 from scq.cli import main
+from scq.scoring import fit_score
 from scq.weights import estimate_sparsity
 
 
@@ -176,6 +177,24 @@ class TestInfer:
         rc = main(["infer", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("failure:")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_side_exit_one(self, tmp_path, infer_config, monkeypatch, capsys, bad):
+        # a non-finite position is rejected when the CSV is read, before any fit
+        data = tmp_path / "side.csv"
+        write_signal_csv(data)
+        lines = data.read_text().splitlines()
+        sides = iter([str(float(j)) for j in range(1, 60)] + [bad])
+        rows = [line.replace(",,", f",,{next(sides)}," if line.startswith("test") else ",,,", 1)
+                for line in lines[1:]]
+        data.write_text("\n".join(["__role__,__label__,__side__,f0,f1,f2"] + rows) + "\n")
+        fits = count_calls(monkeypatch, fit_score)
+        rc = main(["infer", str(data), "--config", str(infer_config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert fits == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: positional side info must be finite")
+        assert f"unit 60 is {float(bad)}" in err
 
     def test_no_test_rows_exit_one(self, tmp_path, infer_config, capsys):
         data = tmp_path / "empty.csv"

@@ -12,6 +12,7 @@ from scq.pipeline import WeightConfig, candidate_pvalues, compute_weights
 from scq.scoring import ClassifierSpec
 from scq.weights import (
     EPS_PI,
+    WeightMatrix,
     estimate_sparsity,
     matrix_for_side,
     oracle_weights,
@@ -50,7 +51,7 @@ class TestWeightMatrix:
     def test_row_sums_positive(self):
         side = SideInfo("position", np.arange(50, dtype=float))
         omega = matrix_for_side(side)
-        assert np.all(omega.row_sums() > 0)
+        assert np.all(omega.weighted_sums(np.ones(50)) > 0)
 
     def test_lazy_aggregation_matches_dense(self):
         rng = np.random.default_rng(0)
@@ -63,6 +64,39 @@ class TestWeightMatrix:
         gside = SideInfo("group", rng.integers(0, 5, size=60))
         gomega = matrix_for_side(gside)
         np.testing.assert_allclose(gomega.weighted_sums(x), gomega.dense().T @ x)
+        # integer-lattice positions take the FFT path; the dense matrix is
+        # the oracle for one column and for two
+        lattices = {
+            "1..m": np.arange(1, 61, dtype=float),
+            "gaps": np.sort(rng.choice(400, size=60, replace=False)).astype(float),
+            "duplicates": rng.integers(0, 20, size=60).astype(float),
+            "negative": np.arange(-40, 20, dtype=float),
+            "m = 1": np.array([3.0]),
+        }
+        for name, s in lattices.items():
+            lside = SideInfo("position", s)
+            for h in (0.05, 1.0, None, 1e4):
+                lomega = matrix_for_side(lside, h)
+                dense = lomega.dense()
+                tol = 1e-12 * dense.sum(axis=0)
+                xs = rng.random((len(s), 2))
+                got = lomega.weighted_sums(xs)
+                assert got.shape == xs.shape
+                assert np.all(np.abs(got - dense.T @ xs) <= tol[:, None]), (name, h)
+                one = lomega.weighted_sums(xs[:, 0])
+                assert np.all(np.abs(one - dense.T @ xs[:, 0]) <= tol), (name, h)
+
+    def test_lattice_positions_skip_dense_kernel(self, monkeypatch):
+        def refuse(self, rows):
+            raise AssertionError("dense kernel block evaluated")
+
+        monkeypatch.setattr(WeightMatrix, "_kernel_block", refuse)
+        x = np.random.default_rng(1).random(40)
+        lattice = matrix_for_side(SideInfo("position", np.arange(1, 41, dtype=float)))
+        lattice.weighted_sums(x)
+        irregular = matrix_for_side(SideInfo("position", np.linspace(0.0, 1.0, 40) ** 2))
+        with pytest.raises(AssertionError, match="dense kernel block"):
+            irregular.weighted_sums(x)
 
     def test_depends_on_side_info_alone(self):
         side = SideInfo("group", [1, 2, 1])
@@ -99,13 +133,19 @@ class TestEstimateSparsity:
         np.testing.assert_allclose(est.pi_hat, [0.5 - EPS_PI] * 2)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_swap_invariance_exact(self, m, seed):
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    def test_swap_invariance_exact(self, m, seed, lattice):
         rng = np.random.default_rng(seed)
         n_cal = int(rng.integers(3, 40))
         p = cp(rng.integers(1, n_cal + 2, size=m), n_cal)
         pt = cp(rng.integers(1, n_cal + 2, size=m), n_cal)
-        side = SideInfo("position", rng.uniform(0, 10, size=m))
+        # integer positions take the FFT path, uniform ones the dense path
+        positions = rng.integers(-5, 3 * m, size=m) if lattice else rng.uniform(0, 10, size=m)
+        side = SideInfo("position", positions)
         omega = matrix_for_side(side)
         swap = rng.random(m) < 0.5
         p2 = np.where(swap, pt, p)
@@ -117,6 +157,20 @@ class TestEstimateSparsity:
         np.testing.assert_array_equal(
             structure_weights(est1).w, structure_weights(est2).w
         )
+
+    def test_one_aggregation_per_estimate(self, monkeypatch):
+        calls = []
+        aggregate = WeightMatrix.weighted_sums
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return aggregate(self, x)
+
+        monkeypatch.setattr(WeightMatrix, "weighted_sums", counted)
+        omega = matrix_for_side(SideInfo("position", np.arange(1, 21, dtype=float)))
+        p = cp(np.arange(1, 21), 20)
+        estimate_sparsity(omega, p, p[::-1], 0.3)
+        assert calls == [(20, 2)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=2**32 - 1))
