@@ -10,7 +10,6 @@ explicit random generator, so values can be shared freely across threads.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -275,11 +274,6 @@ class SyntheticConfig:
             "seed": self.seed,
         }
 
-    @staticmethod
-    def from_json(path) -> "SyntheticConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SyntheticConfig.from_dict(json.load(fh))
-
 
 def split_nulls(
     pool: LabeledPool,
@@ -349,16 +343,6 @@ def generate_hierarchical(
     return pool, TestSet(features=x, side=side, truth=y)
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Column naming for CSV ingestion; defaults follow the reserved names."""
-
-    role_column: str = ROLE_COLUMN
-    label_column: str = LABEL_COLUMN
-    side_column: str = SIDE_COLUMN
-    feature_columns: Optional[tuple[str, ...]] = None
-
-
 def _parse_feature(raw: str, row: int, col: str) -> float:
     try:
         val = float(raw)
@@ -369,16 +353,16 @@ def _parse_feature(raw: str, row: int, col: str) -> float:
     return val
 
 
-def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> tuple[LabeledPool, TestSet]:
+def load_csv(path) -> tuple[LabeledPool, TestSet]:
     """Parse a CSV file into a labeled pool and a test set.
 
-    The file must carry a header.  The role column assigns each row to
-    ``train-null``, ``train-outlier``, or ``test``; the optional label
-    column (0/1/empty) supplies simulation truth for test rows; the
-    optional side column supplies side information (integer literals form
-    groups, anything else is positional).  All remaining columns are
-    features.  Test rows without a side column get positional side info
-    ``1..m`` in file order.
+    The file must carry a header.  The role column ``__role__`` assigns
+    each row to ``train-null``, ``train-outlier``, or ``test``; the
+    optional label column ``__label__`` (0/1/empty) supplies simulation
+    truth for test rows; the optional side column ``__side__`` supplies
+    side information (integer literals form groups, anything else is
+    positional).  All remaining columns are features.  Test rows without a
+    side column get positional side info ``1..m`` in file order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -388,19 +372,13 @@ def load_csv(path, schema: ColumnSchema = ColumnSchema()) -> tuple[LabeledPool, 
             raise SchemaMismatch("empty file: no header row") from None
         rows = list(reader)
 
-    if schema.role_column not in header:
-        raise SchemaMismatch(f"missing required column {schema.role_column!r}")
-    role_i = header.index(schema.role_column)
-    label_i = header.index(schema.label_column) if schema.label_column in header else None
-    side_i = header.index(schema.side_column) if schema.side_column in header else None
-    if schema.feature_columns is not None:
-        missing = [c for c in schema.feature_columns if c not in header]
-        if missing:
-            raise SchemaMismatch(f"missing feature columns {missing}")
-        feat_is = [header.index(c) for c in schema.feature_columns]
-    else:
-        reserved = {role_i, label_i, side_i} - {None}
-        feat_is = [i for i in range(len(header)) if i not in reserved]
+    if ROLE_COLUMN not in header:
+        raise SchemaMismatch(f"missing required column {ROLE_COLUMN!r}")
+    role_i = header.index(ROLE_COLUMN)
+    label_i = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+    side_i = header.index(SIDE_COLUMN) if SIDE_COLUMN in header else None
+    reserved = {role_i, label_i, side_i} - {None}
+    feat_is = [i for i in range(len(header)) if i not in reserved]
     if not feat_is:
         raise SchemaMismatch("no feature columns found")
 

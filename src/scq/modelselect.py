@@ -263,14 +263,19 @@ def ptams_plus(
     if any(not 0.0 < l < 1.0 for l in grid):
         raise ConfigError("lambda_grid values must lie in (0, 1)")
 
-    trace, (scores, prelim, _, _, _) = _select_candidate(
+    trace, (scores, prelim, *stage1) = _select_candidate(
         toolbox, data, alpha, coins, alpha0, replace(weight_cfg, lam=STAGE1_LAMBDA)
     )
+    # stage one already counted the winner at STAGE1_LAMBDA with the same coins
+    stage1_count = (trace.records[trace.selected - 1].r_k, *stage1)
     best = None
     for lam in grid:
-        r_l, pairs, w, est = _pseudo_rejection_count(
-            scores, prelim, replace(weight_cfg, lam=lam), data, alpha, coins
-        )
+        if lam == STAGE1_LAMBDA:
+            r_l, pairs, w, est = stage1_count
+        else:
+            r_l, pairs, w, est = _pseudo_rejection_count(
+                scores, prelim, replace(weight_cfg, lam=lam), data, alpha, coins
+            )
         if best is None or r_l > best[0]:
             best = (r_l, lam, pairs, w, est)
     _, lam_star, pairs, w, est = best

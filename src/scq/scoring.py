@@ -13,6 +13,11 @@ structural contracts hold by construction:
 
 Fits are deterministic: closed-form moments, fixed bandwidth rules, and
 fixed-iteration full-batch gradient descent with zero initialization.
+
+The module needs numpy alone.  The KDE row log-sum-exp splits off the row
+maximum in the order scipy's ``logsumexp`` uses (analysed by Blanchard,
+Higham & Higham, 2021, *IMA J. Numer. Anal.* 41:2311), so KDE scores are
+bit-identical to those of releases that called scipy.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import expit, logsumexp
 
 from .errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
 
@@ -173,12 +176,17 @@ def _fit_gaussian(train: np.ndarray) -> dict:
         raise DegenerateFit("covariance of the training nulls is not finite")
     chol, lam = _regularized_cholesky(cov, p)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return {"mean": mean, "chol": chol, "logdet": logdet, "lambda_reg": lam}
+    return {
+        "mean": mean,
+        "chol": chol,
+        "inv_chol": np.linalg.inv(chol),
+        "logdet": logdet,
+        "lambda_reg": lam,
+    }
 
 
 def _gaussian_logpdf(params: dict, x: np.ndarray) -> np.ndarray:
-    diff = x - params["mean"]
-    sol = solve_triangular(params["chol"], diff.T, lower=True).T
+    sol = (x - params["mean"]) @ params["inv_chol"].T
     maha = np.sum(sol * sol, axis=1)
     p = x.shape[1]
     return -0.5 * (p * np.log(2.0 * np.pi) + params["logdet"] + maha)
@@ -194,19 +202,35 @@ def _fit_kde(train: np.ndarray, bandwidth: Optional[float]) -> dict:
     return {"train": train, "h": h}
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise ``log(sum(exp(a)))``, overwriting ``a``.
+
+    The k entries equal to the row maximum are split off and the rest are
+    shifted, exponentiated and summed in place, giving
+    ``log1p(s / k) + log(k) + max``.  A row of -inf gives -inf and a row
+    holding NaN gives NaN, without a warning.
+    """
+    amax = np.max(a, axis=1, keepdims=True)
+    at_max = a == amax
+    k = np.count_nonzero(at_max, axis=1).astype(np.float64)
+    np.copyto(a, -np.inf, where=at_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a -= amax
+        np.exp(a, out=a)
+        s = np.sum(a, axis=1)
+        amax = amax[:, 0]
+        out = np.log1p(s / k) + np.log(k) + amax
+    out[np.isneginf(amax)] = -np.inf
+    return out
+
+
 def _kde_logpdf(params: dict, x: np.ndarray) -> np.ndarray:
     train, h = params["train"], params["h"]
     n = train.shape[0]
-    xs = x / h
-    ts = train / h
-    sq = (
-        np.sum(xs * xs, axis=1)[:, None]
-        + np.sum(ts * ts, axis=1)[None, :]
-        - 2.0 * xs @ ts.T
-    )
-    np.maximum(sq, 0.0, out=sq)
+    a = _pairwise_sq_dists(x / h, train / h)
+    a *= -0.5
     log_norm = float(np.sum(np.log(h * np.sqrt(2.0 * np.pi)))) + np.log(n)
-    out = logsumexp(-0.5 * sq, axis=1) - log_norm
+    out = _logsumexp_rows(a) - log_norm
     return np.maximum(out, LOG_DENSITY_FLOOR)
 
 
@@ -225,13 +249,19 @@ def _pairwise_sq_dists(x: np.ndarray, train: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _expit(z: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid; exp overflow gives exactly 0, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _logistic_gd(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
     # full-batch gradient descent on mean log loss; zero init, no stopping rule
     n, p = x.shape
     w = np.zeros(p)
     b = 0.0
     for _ in range(iterations):
-        g = expit(x @ w + b) - y
+        g = _expit(x @ w + b) - y
         w -= step * (x.T @ g) / n
         b -= step * float(g.mean())
     return w, b
@@ -316,7 +346,7 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
         return -np.sqrt(kth)
     if model.family == "BIC":
         if model.method == "logistic":
-            return -expit(x @ params["w"] + params["b"])
+            return -_expit(x @ params["w"] + params["b"])
         sq = _pairwise_sq_dists(x, params["train"])
         # stable argsort: distance ties resolved by smaller canonical index
         order = np.argsort(sq, axis=1, kind="stable")[:, : params["k"]]
@@ -325,7 +355,7 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
     # PUC
     if model.method == "kde-ratio":
         return _kde_logpdf(params["null_kde"], x) - _kde_logpdf(params["mix_kde"], x)
-    return expit(x @ params["w"] + params["b"])
+    return _expit(x @ params["w"] + params["b"])
 
 
 def score(model: ScoreModel, x: np.ndarray) -> float:

@@ -2,10 +2,15 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scq
 from helpers import count_calls
 from scq.cli import main
 from scq.scoring import fit_score
@@ -308,3 +313,18 @@ class TestReport:
         lines = (tmp_path / "rep" / "long.csv").read_text().splitlines()[1:]
         params = {line.split(",")[1] for line in lines}
         assert params == {"1.0", "2.0"}
+
+
+def test_cli_import_loads_numpy_only():
+    # scq depends on numpy alone; scipy is needed by the tests only
+    code = (
+        "import scq.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(scq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -9,12 +9,15 @@ from helpers import count_calls, make_synthetic_data, random_pairs, swap_inferen
 from scq.conformal import RejectionSet, ScorePairs
 from scq.errors import AllCandidatesFailed, ConfigError
 from scq.modelselect import (
+    DEFAULT_LAMBDA_GRID,
+    STAGE1_LAMBDA,
     CoinStream,
     Toolbox,
     preliminary_partition,
     pseudo_scores,
     ptams,
     ptams_plus,
+    _pseudo_rejection_count,
 )
 from scq.pipeline import WeightConfig, run_scq
 from scq.scoring import ClassifierSpec, fit_score
@@ -224,6 +227,14 @@ class TestPtamsPlus:
         assert len(fits) == len(TOOLBOX)
         assert result.scores.spec == TOOLBOX.candidates[trace.selected - 1]
         assert result.sparsity.lam == trace.lambda_star
+
+    @pytest.mark.parametrize("grid", [DEFAULT_LAMBDA_GRID, (0.05, 0.2, 0.3)])
+    def test_reuses_stage_one_count(self, monkeypatch, grid):
+        # the winner's count at STAGE1_LAMBDA comes from stage one, not a rerun
+        data = make_synthetic_data(m=60, p=3, mu=3.0, seed=9)
+        counts = count_calls(monkeypatch, _pseudo_rejection_count)
+        ptams_plus(TOOLBOX, data, alpha=0.1, coins=CoinStream(seed=2), lambda_grid=grid)
+        assert len(counts) == len(TOOLBOX) + len(grid) - (STAGE1_LAMBDA in grid)
 
     def test_lambda_star_swap_invariant(self):
         coins = CoinStream(seed=21)

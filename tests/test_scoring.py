@@ -1,13 +1,18 @@
 """Classifier toolbox: orientation, invariance contracts, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from helpers import make_synthetic_data
 from scq.errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
 from scq.scoring import (
     ClassifierSpec,
     TrainContext,
+    _expit,
+    _logsumexp_rows,
     _regularized_cholesky,
     fit_score,
     make_transductive_pool,
@@ -79,6 +84,15 @@ class TestGaussian:
         )
         assert np.isfinite(score(model, np.array([1.0, 2.0])))
 
+    def test_matches_scipy_density(self):
+        rng = np.random.default_rng(4)
+        train = rng.standard_normal((80, 4)) @ rng.standard_normal((4, 4))
+        model = fit_score(ClassifierSpec("OCC", "gaussian"), TrainContext(train_nulls=train))
+        params = model.params
+        ref = stats.multivariate_normal(params["mean"], params["chol"] @ params["chol"].T)
+        x = rng.standard_normal((50, 4)) * 3.0
+        np.testing.assert_allclose(score_batch(model, x), ref.logpdf(x), rtol=1e-12)
+
     def test_overflowing_covariance_is_degenerate(self):
         # finite features whose squares overflow: a typed error, not scipy's ValueError
         train = np.random.default_rng(0).standard_normal((50, 3)) * 1e160
@@ -149,6 +163,56 @@ class TestKde:
             TrainContext(train_nulls=np.zeros((3, 1))),
         )
         assert score(model, np.array([1e6])) == -745.0
+
+
+class TestLogsumexpRows:
+    def check(self, a):
+        a = np.asarray(a, dtype=np.float64)
+        ref = special.logsumexp(a, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp_rows(a.copy())
+        np.testing.assert_array_equal(got, ref)
+
+    def test_random_kernel_rows_bit_identical(self):
+        rng = np.random.default_rng(5)
+        self.check(-0.5 * rng.chisquare(3, size=(200, 300)))
+
+    def test_ties_at_the_max(self):
+        self.check([[1.0, 3.0, 3.0, -2.0], [0.5, 0.5, 0.5, 0.5 - 1e-16], [-1.0, 2.0, -1.0, 2.0]])
+
+    def test_constant_row(self):
+        self.check(np.full((3, 7), -4.25))
+
+    def test_minus_infinity_entries(self):
+        self.check([[-np.inf, 0.0, -1.0], [-np.inf, -np.inf, -np.inf], [-np.inf, -3.0, -np.inf]])
+
+    def test_one_column(self):
+        self.check([[-2.0], [0.0], [-np.inf]])
+
+    def test_nan_row_is_nan_without_warning(self):
+        a = np.array([[0.0, np.nan, -1.0], [np.nan, np.nan, np.nan], [0.0, -1.0, -2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp_rows(a)
+        assert np.isnan(got[0]) and np.isnan(got[1])
+        assert got[2] == special.logsumexp([0.0, -1.0, -2.0])
+
+
+class TestExpit:
+    def test_matches_scipy(self):
+        # both use 1 / (1 + exp(-z)); they differ only through exp's last bits
+        z = np.linspace(-36.0, 36.0, 200_001)
+        np.testing.assert_array_max_ulp(_expit(z), special.expit(z), maxulp=2)
+        z = np.linspace(-745.0, 745.0, 200_001)
+        np.testing.assert_array_max_ulp(_expit(z), special.expit(z), maxulp=4)
+
+    def test_saturates_without_warning(self):
+        z = np.array([-1e308, -1e4, -750.0, 750.0, 1e4, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expit(z)
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
 
 class TestPuc:
