@@ -18,6 +18,17 @@ The module needs numpy alone.  The KDE row log-sum-exp splits off the row
 maximum in the order scipy's ``logsumexp`` uses (analysed by Blanchard,
 Higham & Higham, 2021, *IMA J. Numer. Anal.* 41:2311), so KDE scores are
 bit-identical to those of releases that called scipy.
+
+The distance scorers (KDE, both kNNs, and so the KDE ratio) reduce their
+distances block by block from ``_sq_dist_blocks``, so memory stays flat as
+the batch grows.  A block holds a multiple of ``_BLOCK_ROWS`` = 48 rows and
+never one row alone: OpenBLAS's dgemm bits for a row depend on how the row
+count splits into kernel tiles (and a one-row product runs as gemv), and
+such blocks reproduce the one-shot product bit for bit with one BLAS thread.
+With more threads, the split among threads also moves last bits, blocked or
+not.  Either way a score depends in its last bits on its row's offset and
+its batch's size; pair j of the equal-size test and mirror batches sits at
+the same offset, which is what exact swap invariance needs.
 """
 
 from __future__ import annotations
@@ -36,6 +47,10 @@ FAMILIES = {
 }
 
 LOG_DENSITY_FLOOR = -745.0  # log of the smallest positive double
+# Distance blocks hold a multiple of _BLOCK_ROWS rows, as many as fit in
+# _BLOCK_ENTRIES entries (two buffers near 1 MB, inside L2).
+_BLOCK_ROWS = 48
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,12 +120,16 @@ class TrainContext:
         """Return a copy with (test, mirror) rows exchanged for the given 1-based pair ids."""
         if self.transductive_pool is None:
             return self
+        ids = np.fromiter(pair_ids, dtype=np.int64)
+        bad = ids[(ids < 1) | (ids > self.n_pairs)]
+        if bad.size:
+            raise ConfigError(f"pair id {bad[0]} outside the paired region 1..{self.n_pairs}")
+        if np.unique(ids).size != ids.size:
+            raise ConfigError("pair ids to swap must be distinct")
+        a = ids - 1
+        b = a + self.n_pairs
         pool = self.transductive_pool.copy()
-        for j in pair_ids:
-            if not 1 <= j <= self.n_pairs:
-                raise ConfigError(f"pair id {j} outside the paired region 1..{self.n_pairs}")
-            a, b = j - 1, self.n_pairs + j - 1
-            pool[[a, b]] = pool[[b, a]]
+        pool[np.concatenate([a, b])] = self.transductive_pool[np.concatenate([b, a])]
         return TrainContext(
             train_nulls=self.train_nulls,
             labeled_outliers=self.labeled_outliers,
@@ -199,7 +218,8 @@ def _fit_kde(train: np.ndarray, bandwidth: Optional[float]) -> dict:
             raise ConfigError("kde bandwidth must be positive")
     else:
         h = _silverman_bandwidths(train)
-    return {"train": train, "h": h}
+    # the reference rows are stored divided by h
+    return {"h": h, **_reference(train / h)}
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -212,7 +232,10 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """
     amax = np.max(a, axis=1, keepdims=True)
     at_max = a == amax
-    k = np.count_nonzero(at_max, axis=1).astype(np.float64)
+    if np.count_nonzero(at_max) == a.shape[0] and not np.isnan(amax).any():
+        k = 1.0  # every row has exactly one maximum
+    else:
+        k = np.count_nonzero(at_max, axis=1).astype(np.float64)
     np.copyto(a, -np.inf, where=at_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         a -= amax
@@ -225,13 +248,14 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _kde_logpdf(params: dict, x: np.ndarray) -> np.ndarray:
-    train, h = params["train"], params["h"]
-    n = train.shape[0]
-    a = _pairwise_sq_dists(x / h, train / h)
-    a *= -0.5
-    log_norm = float(np.sum(np.log(h * np.sqrt(2.0 * np.pi)))) + np.log(n)
-    out = _logsumexp_rows(a) - log_norm
-    return np.maximum(out, LOG_DENSITY_FLOOR)
+    h = params["h"]
+    out = np.empty(x.shape[0])
+    for rows, a in _sq_dist_blocks(x / h, params):
+        a *= -0.5
+        out[rows] = _logsumexp_rows(a)
+    n = params["train"].shape[0]
+    out -= float(np.sum(np.log(h * np.sqrt(2.0 * np.pi)))) + np.log(n)
+    return np.maximum(out, LOG_DENSITY_FLOOR, out=out)
 
 
 def _knn_k(spec_k: Optional[int], n_train: int) -> int:
@@ -239,14 +263,40 @@ def _knn_k(spec_k: Optional[int], n_train: int) -> int:
     return max(1, min(k, n_train))
 
 
-def _pairwise_sq_dists(x: np.ndarray, train: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(train * train, axis=1)[None, :]
-        - 2.0 * x @ train.T
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+def _reference(rows: np.ndarray) -> dict:
+    """Reference rows of a distance scorer and their squared norms."""
+    return {"train": rows, "train_sq": np.sum(rows * rows, axis=1)}
+
+
+def _block_rows(n_ref: int) -> int:
+    return max(_BLOCK_ROWS, _BLOCK_ENTRIES // n_ref // _BLOCK_ROWS * _BLOCK_ROWS)
+
+
+def _sq_dist_blocks(x: np.ndarray, ref: Mapping[str, np.ndarray]):
+    """Yield ``(rows, block)``: squared distances from ``x[rows]`` to ``ref``.
+
+    The blocks cover the rows of ``x`` in order and are views of two
+    buffers allocated once per call, so a consumer must reduce each block
+    before asking for the next.  Each entry is
+    ``max(|x|^2 + |t|^2 - (2x).t, 0)``, computed in that order.
+    """
+    train, tt = ref["train"], ref["train_sq"]
+    n = x.shape[0]
+    step = _block_rows(train.shape[0])
+    bounds = list(range(0, n, step)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        # a one-row product runs as matrix-vector, with other bits
+        del bounds[-2]
+    xx = np.sum(x * x, axis=1)
+    g = np.empty((min(n, step + 1), train.shape[0]))
+    a = np.empty_like(g)
+    for lo, hi in zip(bounds, bounds[1:]):
+        gb, ab = g[: hi - lo], a[: hi - lo]
+        np.matmul(2.0 * x[lo:hi], train.T, out=gb)
+        np.add(xx[lo:hi, None], tt[None, :], out=ab)
+        ab -= gb
+        np.maximum(ab, 0.0, out=ab)
+        yield slice(lo, hi), ab
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -297,7 +347,7 @@ def fit_score(spec: ClassifierSpec, ctx: TrainContext) -> ScoreModel:
         elif spec.method == "kde":
             params = _fit_kde(train, hp.get("bandwidth"))
         else:  # knn
-            params = {"train": train, "k": _knn_k(hp.get("k"), train.shape[0])}
+            params = {"k": _knn_k(hp.get("k"), train.shape[0]), **_reference(train)}
     elif spec.family == "BIC":
         if ctx.labeled_outliers.shape[0] == 0:
             raise MissingOutliers("BIC fits require at least one labeled outlier")
@@ -309,7 +359,7 @@ def fit_score(spec: ClassifierSpec, ctx: TrainContext) -> ScoreModel:
             )
             params = {"w": w, "b": b}
         else:  # knn on labeled points
-            params = {"train": x, "labels": y, "k": _knn_k(hp.get("k"), x.shape[0])}
+            params = {"labels": y, "k": _knn_k(hp.get("k"), x.shape[0]), **_reference(x)}
     else:  # PUC
         if ctx.transductive_pool is None or ctx.transductive_pool.shape[0] == 0:
             raise ConfigError("PUC fits require a nonempty transductive pool")
@@ -341,16 +391,20 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
             return _gaussian_logpdf(params, x)
         if model.method == "kde":
             return _kde_logpdf(params, x)
-        sq = _pairwise_sq_dists(x, params["train"])
-        kth = np.partition(sq, params["k"] - 1, axis=1)[:, params["k"] - 1]
+        k = params["k"] - 1
+        kth = np.empty(x.shape[0])
+        for rows, a in _sq_dist_blocks(x, params):
+            a.partition(k, axis=1)
+            kth[rows] = a[:, k]
         return -np.sqrt(kth)
     if model.family == "BIC":
         if model.method == "logistic":
             return -_expit(x @ params["w"] + params["b"])
-        sq = _pairwise_sq_dists(x, params["train"])
-        # stable argsort: distance ties resolved by smaller canonical index
-        order = np.argsort(sq, axis=1, kind="stable")[:, : params["k"]]
-        frac_outlier = params["labels"][order].mean(axis=1)
+        frac_outlier = np.empty(x.shape[0])
+        for rows, a in _sq_dist_blocks(x, params):
+            # stable argsort: distance ties resolved by smaller canonical index
+            order = np.argsort(a, axis=1, kind="stable")[:, : params["k"]]
+            frac_outlier[rows] = params["labels"][order].mean(axis=1)
         return -frac_outlier
     # PUC
     if model.method == "kde-ratio":

@@ -1,16 +1,26 @@
 """Classifier toolbox: orientation, invariance contracts, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from helpers import make_synthetic_data
+from scq import scoring
 from scq.errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
 from scq.scoring import (
     ClassifierSpec,
     TrainContext,
+    _BLOCK_ROWS,
+    _block_rows,
     _expit,
     _logsumexp_rows,
     _regularized_cholesky,
@@ -190,6 +200,11 @@ class TestLogsumexpRows:
     def test_one_column(self):
         self.check([[-2.0], [0.0], [-np.inf]])
 
+    def test_nan_row_beside_tied_row(self):
+        # the NaN row has no entry at its max and the tied row has two, so a
+        # count over the whole block equals the row count while k is not 1
+        self.check([[np.nan, 0.0, -1.0], [2.0, 2.0, 0.5], [0.0, -1.0, -2.0]])
+
     def test_nan_row_is_nan_without_warning(self):
         a = np.array([[0.0, np.nan, -1.0], [np.nan, np.nan, np.nan], [0.0, -1.0, -2.0]])
         with warnings.catch_warnings():
@@ -213,6 +228,30 @@ class TestExpit:
             warnings.simplefilter("error")
             got = _expit(z)
         np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+
+class TestSwappedPairs:
+    def test_swaps_the_listed_pairs(self):
+        ctx = ctx_with_pool(np.random.default_rng(11))
+        pool = ctx.with_swapped_pairs([2, 7, 10]).transductive_pool
+        expected = ctx.transductive_pool.copy()
+        for j in (2, 7, 10):
+            expected[[j - 1, 9 + j]] = expected[[9 + j, j - 1]]
+        np.testing.assert_array_equal(pool, expected)
+        unswapped = ctx.with_swapped_pairs([]).transductive_pool
+        np.testing.assert_array_equal(unswapped, ctx.transductive_pool)
+
+    @pytest.mark.parametrize("ids", [[0], [11], [3, -1]])
+    def test_out_of_range_id(self, ids):
+        ctx = ctx_with_pool(np.random.default_rng(12))
+        with pytest.raises(ConfigError, match="outside the paired region"):
+            ctx.with_swapped_pairs(ids)
+
+    def test_repeated_id(self):
+        # a pair listed twice would be swapped back and silently left as it was
+        ctx = ctx_with_pool(np.random.default_rng(13))
+        with pytest.raises(ConfigError, match="distinct"):
+            ctx.with_swapped_pairs([4, 2, 4])
 
 
 class TestPuc:
@@ -249,6 +288,118 @@ class TestPuc:
             fit_score(
                 ClassifierSpec("PUC", "kde-ratio"), TrainContext(train_nulls=np.zeros((4, 2)))
             )
+
+
+DISTANCE_SCORERS = [("OCC", "kde"), ("OCC", "knn"), ("BIC", "knn"), ("PUC", "kde-ratio")]
+
+
+def distance_models(n_ref, p, seed):
+    """The four distance scorers, each fitted on about ``n_ref`` reference rows."""
+    rng = np.random.default_rng(seed)
+    n_out = n_ref // 10
+    m = (n_ref - n_out) // 3
+    train = rng.standard_normal((n_ref - n_out, p))
+    pool, n_pairs = make_transductive_pool(
+        rng.standard_normal((m, p)) + 1.0,
+        rng.standard_normal((m, p)),
+        rng.standard_normal((n_ref - n_out - 2 * m, p)),
+    )
+    ctx = TrainContext(
+        train_nulls=train,
+        labeled_outliers=rng.standard_normal((n_out, p)) + 2.0,
+        transductive_pool=pool,
+        n_pairs=n_pairs,
+    )
+    return {f"{f}/{m}": fit_score(ClassifierSpec(f, m), ctx) for f, m in DISTANCE_SCORERS}
+
+
+# 684 null rows (OCC, both KDEs of PUC/kde-ratio) and 760 labeled rows (BIC)
+BLOCKING_MODELS = distance_models(n_ref=760, p=3, seed=21)
+BATCH_SIZES = [_BLOCK_ROWS + d for d in (-1, 0, 1)] + [2 * _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 2]
+
+
+class TestBlockedScoring:
+    def test_reference_sizes_give_the_smallest_block(self):
+        assert _block_rows(684) == _block_rows(760) == _BLOCK_ROWS
+        assert _block_rows(300) == 4 * _BLOCK_ROWS
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BLOCKING_MODELS)),
+        n=st.sampled_from(BATCH_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_swapping_rows_between_equal_batches_swaps_scores(self, name, n, seed):
+        model = BLOCKING_MODELS[name]
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, n, 3)) * 1.5
+        swap = rng.random(n) < 0.5
+        xs, ys = np.where(swap[:, None], y, x), np.where(swap[:, None], x, y)
+        sx, sy = score_batch(model, x), score_batch(model, y)
+        np.testing.assert_array_equal(score_batch(model, xs), np.where(swap, sy, sx))
+        np.testing.assert_array_equal(score_batch(model, ys), np.where(swap, sx, sy))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BLOCKING_MODELS)),
+        n=st.sampled_from(BATCH_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_scores_equal_one_block(self, name, n, seed):
+        model = BLOCKING_MODELS[name]
+        x = np.random.default_rng(seed).standard_normal((n, 3)) * 1.5
+        blocked = score_batch(model, x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "_BLOCK_ENTRIES", 1 << 40)
+            whole = score_batch(model, x)
+        np.testing.assert_array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("name", [f"{f}/{m}" for f, m in DISTANCE_SCORERS])
+    def test_peak_memory_flat_in_batch_size(self, name):
+        # the whole 8000 x 2000 distance matrix alone would take 122 MB
+        model = distance_models(n_ref=2000, p=5, seed=22)[name]
+        for n_eval in (1000, 8000):
+            x = np.random.default_rng(n_eval).standard_normal((n_eval, 5))
+            tracemalloc.start()
+            try:
+                score_batch(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, f"{name} at {n_eval} rows peaked at {peak / 2**20:.1f} MB"
+
+
+BLAS_CANARY = """
+import json, sys
+import numpy as np
+rows, mismatches = int(sys.argv[1]), {}
+rng = np.random.default_rng(0)
+for n, n_ref, p in [(1000, 300, 5), (2000, 700, 3), (5000, 3333, 5), (517, 2000, 7), (98, 60, 2)]:
+    x, t = rng.standard_normal((n, p)), rng.standard_normal((n_ref, p))
+    full = (2.0 * x) @ t.T
+    for block in (rows, 2 * rows, 4 * rows, 8 * rows):
+        got = np.vstack([(2.0 * x[lo:lo + block]) @ t.T for lo in range(0, n, block)])
+        bad = int(np.sum(got != full))
+        if bad:
+            mismatches[f"{n}x{n_ref}x{p}/{block}"] = bad
+print(json.dumps(mismatches))
+"""
+
+
+def test_blas_row_blocks_reproduce_one_shot_product():
+    """Blocked scores equal unblocked ones only if this holds for the BLAS."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-c", BLAS_CANARY, str(_BLOCK_ROWS)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    mismatches = json.loads(run.stdout)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert not mismatches, (
+        f"row blocks of {_BLOCK_ROWS}k rows change dgemm bits with this BLAS "
+        f"({blas.get('name')} {blas.get('version')}, {blas.get('openblas configuration', '')}): "
+        f"mismatching entries {mismatches}"
+    )
 
 
 class TestInvarianceContracts:
