@@ -2,8 +2,10 @@
 
 ``compare`` runs a list of methods over the same stream of synthetic
 datasets: replication ``r`` derives its generator from
-``(master_seed, r)``, generates one dataset, and feeds byte-identical
-copies to every method, so method columns are exactly paired.  Aggregation
+``(master_seed, r)``, generates one dataset, and feeds it to every method,
+so method columns are exactly paired.  The methods of one replication share
+one :class:`~scq.pipeline.ScoreTable`: a classifier several methods use is
+fitted and scored once, and its learned weights estimated once.  Aggregation
 is a fixed-order reduce over replication indices, which makes whole tables
 bit-reproducible from the master seed regardless of worker scheduling.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,8 +30,8 @@ from .datamodel import (
     split_nulls,
 )
 from .errors import ConfigError, ScqError, TooManyFailures
-from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
-from .pipeline import WeightConfig, run_cfbh, run_scq
+from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams_on, ptams_plus_on
+from .pipeline import ScoreTable, WeightConfig, run_cfbh_on, run_scq_on
 from .scoring import ClassifierSpec
 
 PIPELINES = ("scq", "bc-unweighted", "cfbh", "ptams", "ptams_plus")
@@ -221,16 +222,16 @@ def attainment_config(m: int, seed: int = 0) -> SyntheticConfig:
 
 def run_method(
     method: MethodSpec,
-    data: InferenceData,
+    table: ScoreTable,
     alpha: float,
     coins: CoinStream,
     oracle_pi: Optional[np.ndarray] = None,
 ) -> RejectionSet:
-    """Dispatch one method on prepared inference inputs."""
+    """Dispatch one method on the dataset of ``table``, sharing its fits."""
     if method.pipeline == "cfbh":
-        return run_cfbh(data, method.classifier, alpha, storey=method.storey)
+        return run_cfbh_on(table, method.classifier, alpha, storey=method.storey)
     if method.pipeline == "bc-unweighted":
-        return run_scq(data, method.classifier, WeightConfig(mode="unit"), alpha).rejection
+        return run_scq_on(table, method.classifier, WeightConfig(mode="unit"), alpha).rejection
     wcfg = WeightConfig(
         mode=method.weight_mode,
         lam=method.lam,
@@ -238,14 +239,14 @@ def run_method(
         oracle_pi=oracle_pi if method.weight_mode == "oracle" else None,
     )
     if method.pipeline == "scq":
-        return run_scq(data, method.classifier, wcfg, alpha).rejection
+        return run_scq_on(table, method.classifier, wcfg, alpha).rejection
     if method.pipeline == "ptams":
-        _, result = ptams(
-            method.toolbox, data, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg
+        _, result = ptams_on(
+            table, method.toolbox, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg
         )
         return result.rejection
-    _, _, result = ptams_plus(
-        method.toolbox, data, alpha, coins,
+    _, _, result = ptams_plus_on(
+        table, method.toolbox, alpha, coins,
         lambda_grid=method.lambda_grid or DEFAULT_LAMBDA_GRID,
         alpha0=method.alpha0, weight_cfg=wcfg,
     )
@@ -258,13 +259,13 @@ def _replicate_once(args):
     data_ss, split_ss, coin_ss = ss.spawn(3)
     pool, test = generate_hierarchical(cfg, np.random.default_rng(data_ss))
     split = split_nulls(pool, test.m, np.random.default_rng(split_ss), train_frac)
-    data = InferenceData(split=split, test=test)
+    table = ScoreTable(InferenceData(split=split, test=test))
     coins = CoinStream(seed=int(coin_ss.generate_state(1, dtype=np.uint64)[0]))
     oracle_pi = cfg.pi_vector()
     out = []
     for method in methods:
         try:
-            rej = run_method(method, data, alpha, coins, oracle_pi=oracle_pi)
+            rej = run_method(method, table, alpha, coins, oracle_pi=oracle_pi)
             out.append(
                 (fdp(rej, test.truth), power(rej, test.truth), true_positives(rej, test.truth))
             )
@@ -301,6 +302,9 @@ def replication_table(
         raise ConfigError("reps must be at least 1")
     jobs = [(tuple(methods), cfg, alpha, train_frac, master_seed, r) for r in range(reps)]
     if threads > 1:
+        # imported here so that runs without workers never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             raw = list(pool.map(_replicate_once, jobs, chunksize=max(1, reps // (4 * threads))))
     else:

@@ -31,11 +31,10 @@ from .errors import AllCandidatesFailed, ConfigError, ScqError
 from .pipeline import (
     CandidateScores,
     SCQResult,
+    ScoreTable,
     WeightConfig,
     calibrate_pairs,
     calibrated_result,
-    candidate_pvalues,
-    compute_weights,
     weighted_pairs,
 )
 from .scoring import ClassifierSpec
@@ -164,17 +163,17 @@ def _pseudo_rejection_count(
     scores: CandidateScores,
     prelim: RejectionSet,
     weight_cfg: WeightConfig,
-    data: InferenceData,
+    table: ScoreTable,
     alpha: float,
     coins: CoinStream,
 ):
-    w, est = compute_weights(data, scores.p, scores.p_tilde, weight_cfg)
+    w, est = table.weights(scores, weight_cfg)
     pairs = weighted_pairs(scores, w)
     _, _, rej = calibrate_pairs(pseudo_scores(pairs, prelim, coins), alpha)
     return len(rej), pairs, w, est
 
 
-def _select_candidate(toolbox, data, alpha, coins, alpha0, weight_cfg):
+def _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg):
     """Stage one of :func:`ptams`: the selection trace and the winner's run.
 
     The winner's run is ``(scores, prelim, pairs, weights, sparsity)``.
@@ -190,13 +189,13 @@ def _select_candidate(toolbox, data, alpha, coins, alpha0, weight_cfg):
     kept = {}
     for k, (spec, name) in enumerate(zip(toolbox.candidates, toolbox.names), start=1):
         try:
-            scores = candidate_pvalues(data, spec)
+            scores = table.scores(spec)
             prelim = preliminary_partition(scores.p, scores.p_tilde, alpha0)
             r_k, pairs, w, est = _pseudo_rejection_count(
-                scores, prelim, weight_cfg, data, alpha, coins
+                scores, prelim, weight_cfg, table, alpha, coins
             )
         except ScqError as exc:
-            empty = RejectionSet(mask=np.zeros(data.m, dtype=bool), alpha=alpha0)
+            empty = RejectionSet(mask=np.zeros(table.data.m, dtype=bool), alpha=alpha0)
             records.append(CandidateRecord(k=k, name=name, prelim=empty, r_k=-1, error=str(exc)))
             continue
         records.append(CandidateRecord(k=k, name=name, prelim=prelim, r_k=r_k))
@@ -233,8 +232,20 @@ def ptams(
     AllCandidatesFailed
         If no candidate fits.
     """
+    return ptams_on(ScoreTable(data), toolbox, alpha, coins, alpha0, weight_cfg)
+
+
+def ptams_on(
+    table: ScoreTable,
+    toolbox: Toolbox,
+    alpha: float,
+    coins: CoinStream,
+    alpha0: Optional[float] = None,
+    weight_cfg: WeightConfig = WeightConfig(),
+) -> tuple[SelectionTrace, SCQResult]:
+    """:func:`ptams` on the table's dataset, reusing its fits and weights."""
     trace, (scores, _, pairs, w, est) = _select_candidate(
-        toolbox, data, alpha, coins, alpha0, weight_cfg
+        toolbox, table, alpha, coins, alpha0, weight_cfg
     )
     return trace, calibrated_result(scores, pairs, w, est, alpha)
 
@@ -257,6 +268,19 @@ def ptams_plus(
     smallest threshold), and reruns the full calibration with the winning
     pair.
     """
+    return ptams_plus_on(ScoreTable(data), toolbox, alpha, coins, lambda_grid, alpha0, weight_cfg)
+
+
+def ptams_plus_on(
+    table: ScoreTable,
+    toolbox: Toolbox,
+    alpha: float,
+    coins: CoinStream,
+    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
+    alpha0: Optional[float] = None,
+    weight_cfg: WeightConfig = WeightConfig(),
+) -> tuple[SelectionTrace, float, SCQResult]:
+    """:func:`ptams_plus` on the table's dataset, reusing its fits and weights."""
     grid = sorted(float(l) for l in lambda_grid)
     if not grid:
         raise ConfigError("lambda_grid must be nonempty")
@@ -264,7 +288,7 @@ def ptams_plus(
         raise ConfigError("lambda_grid values must lie in (0, 1)")
 
     trace, (scores, prelim, *stage1) = _select_candidate(
-        toolbox, data, alpha, coins, alpha0, replace(weight_cfg, lam=STAGE1_LAMBDA)
+        toolbox, table, alpha, coins, alpha0, replace(weight_cfg, lam=STAGE1_LAMBDA)
     )
     # stage one already counted the winner at STAGE1_LAMBDA with the same coins
     stage1_count = (trace.records[trace.selected - 1].r_k, *stage1)
@@ -274,7 +298,7 @@ def ptams_plus(
             r_l, pairs, w, est = stage1_count
         else:
             r_l, pairs, w, est = _pseudo_rejection_count(
-                scores, prelim, replace(weight_cfg, lam=lam), data, alpha, coins
+                scores, prelim, replace(weight_cfg, lam=lam), table, alpha, coins
             )
         if best is None or r_l > best[0]:
             best = (r_l, lam, pairs, w, est)

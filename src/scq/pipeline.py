@@ -5,7 +5,9 @@ CLI all share.  A run takes an :class:`~scq.datamodel.InferenceData`
 bundle, fits one classifier, converts calibration ranks into p-value
 pairs, learns weights, and thresholds the weighted pairs by mirror
 calibration.  Baseline runs (unweighted thresholding, plain/Storey BH on
-conformal p-values) live here too.
+conformal p-values) live here too.  Runs on one dataset can share a
+:class:`ScoreTable`, so methods that use the same classifier fit and
+score it once.
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ def _fit(data: InferenceData, spec: ClassifierSpec) -> ScoreModel:
     return fit_score(spec, ctx)
 
 
-def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateScores:
-    """Fit one classifier and compute the (test, mirror) p-value numerators."""
-    model = _fit(data, spec)
+def _candidate_scores(
+    data: InferenceData, spec: ClassifierSpec, model: ScoreModel
+) -> CandidateScores:
     s_cal = score_batch(model, data.split.cal)
     return CandidateScores(
         spec=spec,
@@ -116,6 +118,11 @@ def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateSco
         num_tilde=conformal_pvalues(s_cal, score_batch(model, data.split.mirror)),
         n_cal=len(s_cal),
     )
+
+
+def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateScores:
+    """Fit one classifier and compute the (test, mirror) p-value numerators."""
+    return ScoreTable(data).scores(spec)
 
 
 def compute_weights(
@@ -134,6 +141,53 @@ def compute_weights(
     omega = matrix_for_side(data.test.side, cfg.bandwidth)
     est = estimate_sparsity(omega, p, p_tilde, cfg.lam)
     return structure_weights(est), est
+
+
+def _memo(entries: list, key, make):
+    # keys are compared by ==: ClassifierSpec holds a dict and is unhashable
+    for k, value in entries:
+        if k == key:
+            return value
+    value = make()
+    entries.append((key, value))
+    return value
+
+
+class ScoreTable:
+    """The fits, p-value numerators and learned weights of one dataset.
+
+    Each classifier is fitted and scored once, and each (classifier,
+    screening threshold, bandwidth) gets one structure-weight estimate,
+    however many methods ask for them.  A table belongs to one
+    :class:`~scq.datamodel.InferenceData` and lives as long as the caller
+    keeps it: one replication in the bench, one run elsewhere.  A failed
+    fit or estimate is not stored, so asking again raises again.
+    """
+
+    def __init__(self, data: InferenceData):
+        self.data = data
+        self._models = []
+        self._scores = []
+        self._weights = []
+
+    def model(self, spec: ClassifierSpec) -> ScoreModel:
+        return _memo(self._models, spec, lambda: _fit(self.data, spec))
+
+    def scores(self, spec: ClassifierSpec) -> CandidateScores:
+        return _memo(
+            self._scores, spec, lambda: _candidate_scores(self.data, spec, self.model(spec))
+        )
+
+    def weights(
+        self, scores: CandidateScores, cfg: WeightConfig
+    ) -> tuple[WeightVector, Optional[SparsityEstimate]]:
+        """:func:`compute_weights` for ``scores``, which this table produced."""
+        def make():
+            return compute_weights(self.data, scores.p, scores.p_tilde, cfg)
+
+        if cfg.mode != "structure":
+            return make()
+        return _memo(self._weights, (scores.spec, cfg.lam, cfg.bandwidth), make)
 
 
 def weighted_pairs(
@@ -223,8 +277,20 @@ def run_scq(
     rng: Optional[np.random.Generator] = None,
 ) -> SCQResult:
     """Full structure-adaptive run with one fixed classifier."""
-    scores = candidate_pvalues(data, classifier)
-    w, est = compute_weights(data, scores.p, scores.p_tilde, weight_cfg)
+    return run_scq_on(ScoreTable(data), classifier, weight_cfg, alpha, jitter, rng)
+
+
+def run_scq_on(
+    table: ScoreTable,
+    classifier: ClassifierSpec,
+    weight_cfg: WeightConfig,
+    alpha: float,
+    jitter: bool = False,
+    rng: Optional[np.random.Generator] = None,
+) -> SCQResult:
+    """:func:`run_scq` on the table's dataset, reusing its fits and weights."""
+    scores = table.scores(classifier)
+    w, est = table.weights(scores, weight_cfg)
     pairs = weighted_pairs(scores, w, jitter=jitter, rng=rng)
     return calibrated_result(scores, pairs, w, est, alpha)
 
@@ -241,7 +307,23 @@ def run_cfbh(
     The mirror block carries no structural role here, so it is merged into
     the calibration set before ranking the test scores.
     """
-    model = _fit(data, classifier)
+    return run_cfbh_on(ScoreTable(data), classifier, alpha, storey, lambda_storey)
+
+
+def run_cfbh_on(
+    table: ScoreTable,
+    classifier: ClassifierSpec,
+    alpha: float,
+    storey: bool = True,
+    lambda_storey: float = 0.5,
+) -> RejectionSet:
+    """:func:`run_cfbh` on the table's dataset, reusing its fit.
+
+    The merged calibration block is scored afresh: a score's last bits
+    depend on its row's offset and its batch's size.
+    """
+    data = table.data
+    model = table.model(classifier)
     s_cal = score_batch(model, np.vstack([data.split.cal, data.split.mirror]))
     p = conformal_pvalues(s_cal, score_batch(model, data.test.features)) / (len(s_cal) + 1)
     return storey_bh(p, alpha, lambda_storey) if storey else bh(p, alpha)

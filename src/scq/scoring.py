@@ -299,6 +299,26 @@ def _sq_dist_blocks(x: np.ndarray, ref: Mapping[str, np.ndarray]):
         yield slice(lo, hi), ab
 
 
+def _knn_label_mean(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Mean label of each row's k nearest columns, distance ties going to
+    the smaller column index (the first k of a stable argsort).
+
+    ``partition`` finds the k-th distance; every column strictly nearer
+    is taken, and the ties at it fill the rest in column order.  The label
+    sum is an exact integer, so the means equal a full sort's bit for bit.
+    """
+    kth = np.partition(a, k - 1, axis=1)[:, k - 1 : k]
+    if np.isnan(kth).any():
+        # NaN distances sort last and compare false; rank them in full
+        order = np.argsort(a, axis=1, kind="stable")[:, :k]
+        return labels[order].mean(axis=1)
+    near = a < kth
+    ties = a == kth
+    room = k - np.count_nonzero(near, axis=1)
+    near |= ties & (np.cumsum(ties, axis=1) <= room[:, None])
+    return np.count_nonzero(near & (labels == 1.0), axis=1) / k
+
+
 def _expit(z: np.ndarray) -> np.ndarray:
     """The logistic sigmoid; exp overflow gives exactly 0, without a warning."""
     with np.errstate(over="ignore"):
@@ -402,9 +422,7 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
             return -_expit(x @ params["w"] + params["b"])
         frac_outlier = np.empty(x.shape[0])
         for rows, a in _sq_dist_blocks(x, params):
-            # stable argsort: distance ties resolved by smaller canonical index
-            order = np.argsort(a, axis=1, kind="stable")[:, : params["k"]]
-            frac_outlier[rows] = params["labels"][order].mean(axis=1)
+            frac_outlier[rows] = _knn_label_mean(a, params["labels"], params["k"])
         return -frac_outlier
     # PUC
     if model.method == "kde-ratio":

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import count_calls
+from scq import scoring, weights
 from scq.bench import (
     MethodSpec,
     MetricsRow,
@@ -25,9 +27,16 @@ from scq.errors import ConfigError, TooManyFailures
 from scq.modelselect import Toolbox
 from scq.scoring import ClassifierSpec
 
-SCQ_GAUSS = MethodSpec(
-    name="scq-gauss", pipeline="scq", classifier=ClassifierSpec("OCC", "gaussian")
-)
+GAUSS = ClassifierSpec("OCC", "gaussian")
+KDE = ClassifierSpec("OCC", "kde")
+SCQ_GAUSS = MethodSpec(name="scq-gauss", pipeline="scq", classifier=GAUSS)
+# the method set of the replicate-500 benchmark workload
+REPLICATE_METHODS = [
+    SCQ_GAUSS,
+    MethodSpec(name="bc", pipeline="bc-unweighted", classifier=GAUSS),
+    MethodSpec(name="cfbh", pipeline="cfbh", classifier=GAUSS),
+    MethodSpec(name="ptams", pipeline="ptams", toolbox=Toolbox((GAUSS, KDE))),
+]
 
 
 def tiny_config(m=40, p=2, mu=3.0):
@@ -120,6 +129,47 @@ class TestCompare:
         )
         with pytest.raises(TooManyFailures):
             compare([doomed], tiny_config(), reps=4, master_seed=2)
+
+
+class TestSharedScoreTable:
+    """Methods of one replication share fits; no number may change."""
+
+    def test_compare_equals_each_method_alone(self):
+        # synthetic pools carry no labeled outliers, so BIC/knn always fails
+        methods = REPLICATE_METHODS + [
+            MethodSpec(
+                name="plus",
+                pipeline="ptams_plus",
+                toolbox=Toolbox((ClassifierSpec("BIC", "knn"), KDE, GAUSS)),
+            ),
+            MethodSpec(name="scq-kde", pipeline="scq", classifier=KDE, lam=0.3),
+        ]
+        cfg = paper_synthetic_config(m=300, p=3, mu=2.0)
+        rows = compare(methods, cfg, reps=4, master_seed=12, alpha=0.1)
+        alone = [run_replications(m, cfg, reps=4, master_seed=12, alpha=0.1) for m in methods]
+        assert rows == alone
+        assert all(row.reps == 4 for row in rows)
+
+    def test_failure_message_equals_the_method_alone(self):
+        bic = ClassifierSpec("BIC", "knn")
+        doomed = MethodSpec(name="doomed", pipeline="scq", classifier=bic)
+        # the ptams method tries, and fails, the same fit first
+        picky = MethodSpec(name="picky", pipeline="ptams", toolbox=Toolbox((bic, GAUSS)))
+        with pytest.raises(TooManyFailures) as shared:
+            compare([picky, doomed], tiny_config(), reps=3, master_seed=8)
+        with pytest.raises(TooManyFailures) as alone:
+            run_replications(doomed, tiny_config(), reps=3, master_seed=8)
+        assert str(shared.value) == str(alone.value)
+
+    def test_one_fit_and_one_weight_estimate_per_classifier(self, monkeypatch):
+        fits = count_calls(monkeypatch, scoring.fit_score)
+        estimates = count_calls(monkeypatch, weights.estimate_sparsity)
+        cfg = paper_synthetic_config(m=500, p=5, mu=3.0)
+        table = replication_table(REPLICATE_METHODS, cfg, reps=3, master_seed=1, alpha=0.1)
+        assert not np.isnan(table).any()
+        # OCC/gaussian and OCC/kde, each fitted and weighted once per replication
+        assert len(fits) == 2 * 3
+        assert len(estimates) == 2 * 3
 
 
 class TestConfigBuilders:

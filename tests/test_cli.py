@@ -316,10 +316,13 @@ class TestReport:
 
 
 def test_cli_import_loads_numpy_only():
-    # scq depends on numpy alone; scipy is needed by the tests only
+    # scq depends on numpy alone; scipy is needed by the tests only, and the
+    # process pool only by simulate runs with more than one worker
+    unwanted = ("scipy", "multiprocessing", "concurrent.futures.process")
     code = (
         "import scq.cli, sys; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unwanted!r} "
+        f"or m in {unwanted!r}))"
     )
     src = str(Path(scq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -128,6 +128,50 @@ class TestKnn:
         assert score(model, np.array([5.1])) == -1.0
         assert score(model, np.array([4.9])) == 0.0
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_null=st.integers(1, 40),
+        n_out=st.integers(1, 20),
+        p=st.integers(1, 3),
+        n_eval=st.integers(1, 120),
+        k=st.one_of(st.none(), st.integers(1, 60)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bic_ties_go_to_the_smaller_index(self, n_null, n_out, p, n_eval, k, seed):
+        # small integer features: distances are exact, so ties are common
+        rng = np.random.default_rng(seed)
+        train, outliers, x = (
+            rng.integers(-2, 3, (n, p)).astype(float) for n in (n_null, n_out, n_eval)
+        )
+        model = fit_score(
+            ClassifierSpec("BIC", "knn", {} if k is None else {"k": k}),
+            TrainContext(train_nulls=train, labeled_outliers=outliers),
+        )
+        ref, labels, kk = model.params["train"], model.params["labels"], model.params["k"]
+        dist = ((x[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :kk]
+        np.testing.assert_array_equal(score_batch(model, x), -labels[order].mean(axis=1))
+
+    def test_bic_nan_distances_rank_like_a_stable_sort(self):
+        # 2x overflows in the first coordinate, so a row's distances are NaN
+        # or inf by the sign of each reference row's first coordinate
+        rng = np.random.default_rng(4)
+        ctx = TrainContext(
+            train_nulls=rng.standard_normal((30, 2)),
+            labeled_outliers=rng.standard_normal((10, 2)) + 2.0,
+        )
+        model = fit_score(ClassifierSpec("BIC", "knn", {"k": 35}), ctx)
+        x = rng.standard_normal((50, 2))
+        x[:3, 0] = 1e308
+        want = np.empty(len(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, a in scoring._sq_dist_blocks(x, model.params):
+                assert np.isnan(a[:3]).any()
+                order = np.argsort(a, axis=1, kind="stable")[:, :35]
+                want[rows] = -model.params["labels"][order].mean(axis=1)
+            got = score_batch(model, x)
+        np.testing.assert_array_equal(got, want)
+
     def test_default_k_is_sqrt_n(self):
         rng = np.random.default_rng(1)
         model = fit_score(
