@@ -42,7 +42,7 @@ from .modelselect import (
     ptams,
     ptams_plus,
 )
-from .pipeline import SCQResult, WeightConfig, run_cfbh, run_scq
+from .pipeline import SCQResult, ScoreTable, WeightConfig, run_cfbh, run_scq
 from .scoring import (
     ClassifierSpec,
     ScoreModel,

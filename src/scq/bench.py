@@ -29,9 +29,9 @@ from .datamodel import (
     generate_hierarchical,
     split_nulls,
 )
-from .errors import ConfigError, ScqError, TooManyFailures
-from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams_on, ptams_plus_on
-from .pipeline import ScoreTable, WeightConfig, run_cfbh_on, run_scq_on
+from .errors import ConfigError, ScqError, TooManyFailures, config_number, config_numbers
+from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
+from .pipeline import ScoreTable, WeightConfig, run_cfbh, run_scq
 from .scoring import ClassifierSpec
 
 PIPELINES = ("scq", "bc-unweighted", "cfbh", "ptams", "ptams_plus")
@@ -75,12 +75,12 @@ class MethodSpec:
                 pipeline=pipeline,
                 classifier=classifier,
                 weight_mode=doc.get("weight_mode", "structure"),
-                lam=float(doc.get("lambda", 0.1)),
-                bandwidth=doc.get("bandwidth"),
+                lam=config_number(doc, "lambda", 0.1),
+                bandwidth=config_number(doc, "bandwidth"),
                 storey=bool(doc.get("storey", True)),
                 toolbox=toolbox,
-                lambda_grid=tuple(doc.get("lambda_grid", ())),
-                alpha0=doc.get("alpha0"),
+                lambda_grid=config_numbers(doc.get("lambda_grid", ()), "lambda_grid"),
+                alpha0=config_number(doc, "alpha0"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad method spec: {exc}") from exc
@@ -229,9 +229,9 @@ def run_method(
 ) -> RejectionSet:
     """Dispatch one method on the dataset of ``table``, sharing its fits."""
     if method.pipeline == "cfbh":
-        return run_cfbh_on(table, method.classifier, alpha, storey=method.storey)
+        return run_cfbh(table, method.classifier, alpha, storey=method.storey)
     if method.pipeline == "bc-unweighted":
-        return run_scq_on(table, method.classifier, WeightConfig(mode="unit"), alpha).rejection
+        return run_scq(table, method.classifier, WeightConfig(mode="unit"), alpha).rejection
     wcfg = WeightConfig(
         mode=method.weight_mode,
         lam=method.lam,
@@ -239,14 +239,14 @@ def run_method(
         oracle_pi=oracle_pi if method.weight_mode == "oracle" else None,
     )
     if method.pipeline == "scq":
-        return run_scq_on(table, method.classifier, wcfg, alpha).rejection
+        return run_scq(table, method.classifier, wcfg, alpha).rejection
     if method.pipeline == "ptams":
-        _, result = ptams_on(
-            table, method.toolbox, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg
+        _, result = ptams(
+            method.toolbox, table, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg
         )
         return result.rejection
-    _, _, result = ptams_plus_on(
-        table, method.toolbox, alpha, coins,
+    _, _, result = ptams_plus(
+        method.toolbox, table, alpha, coins,
         lambda_grid=method.lambda_grid or DEFAULT_LAMBDA_GRID,
         alpha0=method.alpha0, weight_cfg=wcfg,
     )

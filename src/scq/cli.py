@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench
 from .datamodel import InferenceData, SyntheticConfig, load_csv, split_nulls
-from .errors import ConfigError, RuntimeFailure, ScqError, UsageError
+from .errors import ConfigError, RuntimeFailure, ScqError, UsageError, config_number
 from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
 from .pipeline import SCQResult, WeightConfig, run_scq
 from .scoring import ClassifierSpec
@@ -42,10 +42,11 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _check_alpha(alpha: float) -> float:
+def _alpha_of(args, cfg: dict) -> float:
+    alpha = args.alpha if args.alpha is not None else config_number(cfg, "alpha", 0.05)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(alpha)
+    return alpha
 
 
 def _out_dir(args, cfg: dict) -> Path:
@@ -62,8 +63,7 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _seed_of(args, cfg: dict) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return int(seed)
+    return args.seed if args.seed is not None else config_number(cfg, "seed", 0, int)
 
 
 def _split_csv_data(data_path, seed: int, train_frac: float) -> InferenceData:
@@ -83,15 +83,15 @@ def cmd_simulate(args) -> int:
     methods = [bench.MethodSpec.from_dict(d) for d in cfg.get("methods", [])]
     if not methods:
         raise ConfigError("simulate config requires a nonempty 'methods' list")
-    alpha = _check_alpha(args.alpha if args.alpha is not None else cfg.get("alpha", 0.05))
-    reps = int(args.reps if args.reps is not None else cfg.get("reps", 100))
+    alpha = _alpha_of(args, cfg)
+    reps = args.reps if args.reps is not None else config_number(cfg, "reps", 100, int)
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")
     seed = _seed_of(args, cfg)
-    threads = args.threads if args.threads is not None else int(cfg.get("threads", 0))
+    threads = args.threads if args.threads is not None else config_number(cfg, "threads", 0, int)
     if threads <= 0:
         threads = os.cpu_count() or 1
-    train_frac = float(cfg.get("train_frac", 0.5))
+    train_frac = config_number(cfg, "train_frac", 0.5)
     out = _out_dir(args, cfg)
 
     rows = bench.compare(
@@ -107,8 +107,8 @@ def cmd_simulate(args) -> int:
 def _weight_config(cfg: dict) -> WeightConfig:
     return WeightConfig(
         mode=cfg.get("weight_mode", "structure"),
-        lam=float(cfg.get("lambda", 0.1)),
-        bandwidth=cfg.get("bandwidth"),
+        lam=config_number(cfg, "lambda", 0.1),
+        bandwidth=config_number(cfg, "bandwidth"),
     )
 
 
@@ -117,9 +117,9 @@ def cmd_infer(args) -> int:
     if "classifier" not in cfg:
         raise ConfigError("infer config requires a 'classifier' section")
     classifier = ClassifierSpec.from_dict(cfg["classifier"])
-    alpha = _check_alpha(args.alpha if args.alpha is not None else cfg.get("alpha", 0.05))
+    alpha = _alpha_of(args, cfg)
     seed = _seed_of(args, cfg)
-    data = _split_csv_data(args.data, seed, float(cfg.get("train_frac", 0.5)))
+    data = _split_csv_data(args.data, seed, config_number(cfg, "train_frac", 0.5))
     jitter = bool(cfg.get("jitter", False))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1])) if jitter else None
     result = run_scq(data, classifier, _weight_config(cfg), alpha, jitter=jitter, rng=rng)
@@ -142,17 +142,17 @@ def cmd_select(args) -> int:
     if "toolbox" not in cfg:
         raise ConfigError("select config requires a 'toolbox' list")
     toolbox = Toolbox.from_list(cfg["toolbox"])
-    alpha = _check_alpha(args.alpha if args.alpha is not None else cfg.get("alpha", 0.05))
+    alpha = _alpha_of(args, cfg)
     seed = _seed_of(args, cfg)
-    data = _split_csv_data(args.data, seed, float(cfg.get("train_frac", 0.5)))
+    data = _split_csv_data(args.data, seed, config_number(cfg, "train_frac", 0.5))
     coin_seed = int(
         np.random.SeedSequence([seed, 2]).generate_state(1, dtype=np.uint64)[0]
     )
     coins = CoinStream(seed=coin_seed)
-    alpha0 = cfg.get("alpha0")
+    alpha0 = config_number(cfg, "alpha0")
     wcfg = _weight_config(cfg)
     if args.plus:
-        grid = cfg.get("lambda_grid", list(DEFAULT_LAMBDA_GRID))
+        grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
         trace, _, result = ptams_plus(
             toolbox, data, alpha, coins, lambda_grid=grid, alpha0=alpha0, weight_cfg=wcfg
         )

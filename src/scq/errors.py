@@ -6,6 +6,8 @@ cannot proceed derive from :class:`RuntimeFailure`.  The CLI maps the
 former to exit code 1 and the latter to exit code 2.
 """
 
+import numbers
+
 
 class ScqError(Exception):
     """Base class for all package errors."""
@@ -59,10 +61,6 @@ class NonPositiveWeight(UsageError):
     """Weights must be strictly positive."""
 
 
-class VariantMismatch(UsageError):
-    """Side-information variant does not match the requested weighting."""
-
-
 class PiOutOfRange(UsageError):
     """Oracle sparsity levels must lie strictly inside (0, 1)."""
 
@@ -73,3 +71,22 @@ class AllCandidatesFailed(RuntimeFailure):
 
 class TooManyFailures(RuntimeFailure):
     """More than the tolerated fraction of replications failed."""
+
+
+def _number(value, key: str, kind=float):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return kind(value)
+
+
+def config_number(doc: dict, key: str, default=None, kind=float):
+    """``doc[key]`` as a ``kind``, or ``default`` if absent; null only where ``default`` is."""
+    value = doc.get(key, default)
+    return None if value is None and default is None else _number(value, key, kind)
+
+
+def config_numbers(values, key: str) -> tuple:
+    """A list of numbers as a tuple of floats, or a ConfigError naming ``key``."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_number(v, key) for v in values)

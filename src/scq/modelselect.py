@@ -16,25 +16,29 @@ fixed coin stream the whole selection is exactly invariant under swapping
 any subset of (test, mirror) pairs in the raw inputs.  The coins are
 derived by a counter-based hash of (seed, unit index) alone: stable under
 any processing order, any m, and any change to feature values.
+
+A selector's answer is :func:`~scq.pipeline.run_scq` of the selected
+classifier at the selected screening threshold, whose weight matrix's kind
+follows the side-info kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .conformal import RejectionSet, ScorePairs, bh
 from .datamodel import InferenceData
-from .errors import AllCandidatesFailed, ConfigError, ScqError
+from .errors import AllCandidatesFailed, ConfigError, ScqError, config_numbers
 from .pipeline import (
     CandidateScores,
     SCQResult,
     ScoreTable,
     WeightConfig,
     calibrate_pairs,
-    calibrated_result,
+    run_scq,
     weighted_pairs,
 )
 from .scoring import ClassifierSpec
@@ -166,18 +170,15 @@ def _pseudo_rejection_count(
     table: ScoreTable,
     alpha: float,
     coins: CoinStream,
-):
-    w, est = table.weights(scores, weight_cfg)
+) -> int:
+    w, _ = table.weights(scores, weight_cfg)
     pairs = weighted_pairs(scores, w)
     _, _, rej = calibrate_pairs(pseudo_scores(pairs, prelim, coins), alpha)
-    return len(rej), pairs, w, est
+    return len(rej)
 
 
-def _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg):
-    """Stage one of :func:`ptams`: the selection trace and the winner's run.
-
-    The winner's run is ``(scores, prelim, pairs, weights, sparsity)``.
-    """
+def _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg) -> SelectionTrace:
+    """Stage one of :func:`ptams`: score every candidate, pick the best."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
     if alpha0 is None:
@@ -186,35 +187,29 @@ def _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg):
         raise ConfigError("alpha0 must lie in (0, 1); pass alpha0 explicitly")
 
     records = []
-    kept = {}
     for k, (spec, name) in enumerate(zip(toolbox.candidates, toolbox.names), start=1):
         try:
             scores = table.scores(spec)
             prelim = preliminary_partition(scores.p, scores.p_tilde, alpha0)
-            r_k, pairs, w, est = _pseudo_rejection_count(
-                scores, prelim, weight_cfg, table, alpha, coins
-            )
+            r_k = _pseudo_rejection_count(scores, prelim, weight_cfg, table, alpha, coins)
         except ScqError as exc:
             empty = RejectionSet(mask=np.zeros(table.data.m, dtype=bool), alpha=alpha0)
             records.append(CandidateRecord(k=k, name=name, prelim=empty, r_k=-1, error=str(exc)))
             continue
         records.append(CandidateRecord(k=k, name=name, prelim=prelim, r_k=r_k))
-        kept[k] = (scores, prelim, pairs, w, est)
 
-    if not kept:
-        raise AllCandidatesFailed("every candidate in the toolbox failed to fit")
     best = max(rec.r_k for rec in records)
+    if best == -1:
+        raise AllCandidatesFailed("every candidate in the toolbox failed to fit")
     winners = [rec.k for rec in records if rec.r_k == best]
-    selected = min(winners)
-    trace = SelectionTrace(
-        records=tuple(records), selected=selected, tie_rule_applied=len(winners) > 1
+    return SelectionTrace(
+        records=tuple(records), selected=min(winners), tie_rule_applied=len(winners) > 1
     )
-    return trace, kept[selected]
 
 
 def ptams(
     toolbox: Toolbox,
-    data: InferenceData,
+    data: Union[InferenceData, ScoreTable],
     alpha: float,
     coins: CoinStream,
     alpha0: Optional[float] = None,
@@ -224,35 +219,23 @@ def ptams(
 
     Candidates whose fit raises are excluded with sentinel count -1; ties
     in the pseudo-rejection count go to the smallest candidate index.  The
-    returned result is the full calibrated run of the selected classifier
-    on the true (non-pseudo) pairs at level ``alpha``.
+    returned result is :func:`~scq.pipeline.run_scq` of the selected
+    classifier at level ``alpha``.  ``data`` may be a
+    :class:`~scq.pipeline.ScoreTable`, whose fits and weights it reuses.
 
     Raises
     ------
     AllCandidatesFailed
         If no candidate fits.
     """
-    return ptams_on(ScoreTable(data), toolbox, alpha, coins, alpha0, weight_cfg)
-
-
-def ptams_on(
-    table: ScoreTable,
-    toolbox: Toolbox,
-    alpha: float,
-    coins: CoinStream,
-    alpha0: Optional[float] = None,
-    weight_cfg: WeightConfig = WeightConfig(),
-) -> tuple[SelectionTrace, SCQResult]:
-    """:func:`ptams` on the table's dataset, reusing its fits and weights."""
-    trace, (scores, _, pairs, w, est) = _select_candidate(
-        toolbox, table, alpha, coins, alpha0, weight_cfg
-    )
-    return trace, calibrated_result(scores, pairs, w, est, alpha)
+    table = ScoreTable.of(data)
+    trace = _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg)
+    return trace, run_scq(table, toolbox.candidates[trace.selected - 1], weight_cfg, alpha)
 
 
 def ptams_plus(
     toolbox: Toolbox,
-    data: InferenceData,
+    data: Union[InferenceData, ScoreTable],
     alpha: float,
     coins: CoinStream,
     lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
@@ -265,43 +248,26 @@ def ptams_plus(
     pinned at ``STAGE1_LAMBDA`` to pick the classifier; stage two reuses
     that classifier's p-values and preliminary set, sweeps the grid,
     scoring each threshold by its pseudo-rejection count (ties go to the
-    smallest threshold), and reruns the full calibration with the winning
-    pair.
+    smallest threshold), and returns :func:`~scq.pipeline.run_scq` of the
+    winning pair.  ``data`` may be a table, as for :func:`ptams`.
     """
-    return ptams_plus_on(ScoreTable(data), toolbox, alpha, coins, lambda_grid, alpha0, weight_cfg)
+    grid = sorted(config_numbers(lambda_grid, "lambda_grid"))
+    if not grid or any(not 0.0 < l < 1.0 for l in grid):
+        raise ConfigError("lambda_grid must be nonempty, with values in (0, 1)")
 
-
-def ptams_plus_on(
-    table: ScoreTable,
-    toolbox: Toolbox,
-    alpha: float,
-    coins: CoinStream,
-    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-    alpha0: Optional[float] = None,
-    weight_cfg: WeightConfig = WeightConfig(),
-) -> tuple[SelectionTrace, float, SCQResult]:
-    """:func:`ptams_plus` on the table's dataset, reusing its fits and weights."""
-    grid = sorted(float(l) for l in lambda_grid)
-    if not grid:
-        raise ConfigError("lambda_grid must be nonempty")
-    if any(not 0.0 < l < 1.0 for l in grid):
-        raise ConfigError("lambda_grid values must lie in (0, 1)")
-
-    trace, (scores, prelim, *stage1) = _select_candidate(
+    table = ScoreTable.of(data)
+    trace = _select_candidate(
         toolbox, table, alpha, coins, alpha0, replace(weight_cfg, lam=STAGE1_LAMBDA)
     )
+    spec = toolbox.candidates[trace.selected - 1]
+    winner = trace.records[trace.selected - 1]
     # stage one already counted the winner at STAGE1_LAMBDA with the same coins
-    stage1_count = (trace.records[trace.selected - 1].r_k, *stage1)
-    best = None
-    for lam in grid:
-        if lam == STAGE1_LAMBDA:
-            r_l, pairs, w, est = stage1_count
-        else:
-            r_l, pairs, w, est = _pseudo_rejection_count(
-                scores, prelim, replace(weight_cfg, lam=lam), table, alpha, coins
-            )
-        if best is None or r_l > best[0]:
-            best = (r_l, lam, pairs, w, est)
-    _, lam_star, pairs, w, est = best
+    counts = [
+        winner.r_k if lam == STAGE1_LAMBDA else _pseudo_rejection_count(
+            table.scores(spec), winner.prelim, replace(weight_cfg, lam=lam), table, alpha, coins
+        )
+        for lam in grid
+    ]
+    lam_star = grid[counts.index(max(counts))]
     trace = replace(trace, lambda_star=lam_star)
-    return trace, lam_star, calibrated_result(scores, pairs, w, est, alpha)
+    return trace, lam_star, run_scq(table, spec, replace(weight_cfg, lam=lam_star), alpha)

@@ -7,13 +7,14 @@ pairs, learns weights, and thresholds the weighted pairs by mirror
 calibration.  Baseline runs (unweighted thresholding, plain/Storey BH on
 conformal p-values) live here too.  Runs on one dataset can share a
 :class:`ScoreTable`, so methods that use the same classifier fit and
-score it once.
+score it once: every entry point takes the data or a table over it.  The
+weight matrix's kind follows the side-info kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from .weights import (
     SparsityEstimate,
     WeightVector,
     estimate_sparsity,
-    matrix_for_side,
     oracle_weights,
     structure_weights,
+    weight_matrix,
 )
 
 JITTER_SCALE = 1e6  # tie-breaking jitter is u / (JITTER_SCALE * (N + 1))
@@ -69,14 +70,13 @@ class WeightConfig:
 
 @dataclass(frozen=True)
 class CandidateScores:
-    """A fitted model plus the conformal p-value numerators it induces.
+    """The conformal p-value numerators one fitted classifier induces.
 
     The test and mirror p-values of unit ``j`` are ``num[j] / (n_cal + 1)``
     and ``num_tilde[j] / (n_cal + 1)``.
     """
 
     spec: ClassifierSpec
-    model: ScoreModel
     num: np.ndarray
     num_tilde: np.ndarray
     n_cal: int
@@ -113,7 +113,6 @@ def _candidate_scores(
     s_cal = score_batch(model, data.split.cal)
     return CandidateScores(
         spec=spec,
-        model=model,
         num=conformal_pvalues(s_cal, score_batch(model, data.test.features)),
         num_tilde=conformal_pvalues(s_cal, score_batch(model, data.split.mirror)),
         n_cal=len(s_cal),
@@ -138,7 +137,7 @@ def compute_weights(
         if pi.shape[0] != m:
             raise ConfigError("oracle_pi length must equal m")
         return oracle_weights(pi), None
-    omega = matrix_for_side(data.test.side, cfg.bandwidth)
+    omega = weight_matrix(data.test.side, cfg.bandwidth)
     est = estimate_sparsity(omega, p, p_tilde, cfg.lam)
     return structure_weights(est), est
 
@@ -169,6 +168,11 @@ class ScoreTable:
         self._models = []
         self._scores = []
         self._weights = []
+
+    @staticmethod
+    def of(data: Union[InferenceData, "ScoreTable"]) -> "ScoreTable":
+        """``data`` itself if it is a table, else a new table over ``data``."""
+        return data if isinstance(data, ScoreTable) else ScoreTable(data)
 
     def model(self, spec: ClassifierSpec) -> ScoreModel:
         return _memo(self._models, spec, lambda: _fit(self.data, spec))
@@ -247,14 +251,23 @@ def calibrate_pairs(pairs: ScorePairs, alpha: float):
     return q, tau, RejectionSet(mask=rej.mask, alpha=alpha, threshold=tau)
 
 
-def calibrated_result(
-    scores: CandidateScores,
-    pairs: ScorePairs,
-    w: WeightVector,
-    est: Optional[SparsityEstimate],
+def run_scq(
+    data: Union[InferenceData, ScoreTable],
+    classifier: ClassifierSpec,
+    weight_cfg: WeightConfig,
     alpha: float,
+    jitter: bool = False,
+    rng: Optional[np.random.Generator] = None,
 ) -> SCQResult:
-    """Calibrate prepared pairs and bundle them with their inputs."""
+    """Full structure-adaptive run with one fixed classifier.
+
+    ``data`` may be a :class:`ScoreTable`, whose fits and weights the run
+    then reuses.
+    """
+    table = ScoreTable.of(data)
+    scores = table.scores(classifier)
+    w, est = table.weights(scores, weight_cfg)
+    pairs = weighted_pairs(scores, w, jitter=jitter, rng=rng)
     q, tau, rej = calibrate_pairs(pairs, alpha)
     return SCQResult(
         rejection=rej,
@@ -268,35 +281,8 @@ def calibrated_result(
     )
 
 
-def run_scq(
-    data: InferenceData,
-    classifier: ClassifierSpec,
-    weight_cfg: WeightConfig,
-    alpha: float,
-    jitter: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> SCQResult:
-    """Full structure-adaptive run with one fixed classifier."""
-    return run_scq_on(ScoreTable(data), classifier, weight_cfg, alpha, jitter, rng)
-
-
-def run_scq_on(
-    table: ScoreTable,
-    classifier: ClassifierSpec,
-    weight_cfg: WeightConfig,
-    alpha: float,
-    jitter: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> SCQResult:
-    """:func:`run_scq` on the table's dataset, reusing its fits and weights."""
-    scores = table.scores(classifier)
-    w, est = table.weights(scores, weight_cfg)
-    pairs = weighted_pairs(scores, w, jitter=jitter, rng=rng)
-    return calibrated_result(scores, pairs, w, est, alpha)
-
-
 def run_cfbh(
-    data: InferenceData,
+    data: Union[InferenceData, ScoreTable],
     classifier: ClassifierSpec,
     alpha: float,
     storey: bool = True,
@@ -305,23 +291,11 @@ def run_cfbh(
     """Conformal-BH baseline without mirror pairing.
 
     The mirror block carries no structural role here, so it is merged into
-    the calibration set before ranking the test scores.
+    the calibration set before ranking the test scores.  ``data`` may be a
+    :class:`ScoreTable`, whose fit the run reuses; the merged block is scored
+    afresh, as a score's last bits depend on its row's offset and batch size.
     """
-    return run_cfbh_on(ScoreTable(data), classifier, alpha, storey, lambda_storey)
-
-
-def run_cfbh_on(
-    table: ScoreTable,
-    classifier: ClassifierSpec,
-    alpha: float,
-    storey: bool = True,
-    lambda_storey: float = 0.5,
-) -> RejectionSet:
-    """:func:`run_cfbh` on the table's dataset, reusing its fit.
-
-    The merged calibration block is scored afresh: a score's last bits
-    depend on its row's offset and its batch's size.
-    """
+    table = ScoreTable.of(data)
     data = table.data
     model = table.model(classifier)
     s_cal = score_batch(model, np.vstack([data.split.cal, data.split.mirror]))

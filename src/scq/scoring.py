@@ -38,7 +38,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
+from .errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers, config_number
 
 FAMILIES = {
     "OCC": ("gaussian", "kde", "knn"),
@@ -69,6 +69,8 @@ class ClassifierSpec:
                 f"method {self.method!r} not supported for family {self.family!r}"
             )
         object.__setattr__(self, "hyperparams", dict(self.hyperparams))
+        for key in ("k", "bandwidth", "iterations", "step"):
+            config_number(self.hyperparams, key)  # raises ConfigError on a non-number
 
     @property
     def name(self) -> str:

@@ -1,13 +1,13 @@
 """Structure-adaptive weights learned from side information.
 
-Unit ``j`` borrows evidence from its side-information neighborhood through
-a weight matrix (group indicator or Gaussian kernel on positions), a
-screened estimate of the local signal frequency built symmetrically from
-both coordinates of each p-value pair, and a bias-correcting odds
-transform.  Because the estimator only sees ``1{p > lambda} + 1{pt > lambda}``
-per unit, it is exactly invariant under swapping any subset of
-(test, mirror) pairs, which is what lets the weighted pairs feed the
-mirror calibration without breaking its validity.
+Unit ``j`` borrows evidence from its side-information neighborhood through a
+weight matrix whose kind follows ``side.kind`` (a same-group indicator for
+groups, a Gaussian kernel for positions), a screened estimate of the local
+signal frequency built symmetrically from both coordinates of each p-value
+pair, and a bias-correcting odds transform.  Because the estimator only sees
+``1{p > lambda} + 1{pt > lambda}`` per unit, it is exactly invariant under
+swapping any subset of (test, mirror) pairs, which is what lets the weighted
+pairs feed the mirror calibration without breaking its validity.
 
 Kernel aggregation takes one of two exact paths, chosen from the side
 information alone.  When every position sits on an integer lattice
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .datamodel import SideInfo
-from .errors import ConfigError, PiOutOfRange, VariantMismatch
+from .errors import ConfigError, PiOutOfRange
 
 EPS_PI = 1e-3
 _KERNEL_CHUNK = 512
@@ -55,9 +55,10 @@ def _binned(idx: np.ndarray, x: np.ndarray, n_bins: int) -> np.ndarray:
 class WeightMatrix:
     """Lazy m-by-m nonnegative matrix derived from side information alone.
 
-    ``kind`` is ``"group"`` (0/1 same-category indicator, diagonal all
-    ones) or ``"kernel"`` (Gaussian kernel on pairwise position distances
-    with bandwidth ``bandwidth``).  Rows are never materialized unless
+    The matrix kind follows ``side.kind``: group side info gives the 0/1
+    same-category indicator (diagonal all ones), positional side info the
+    Gaussian kernel on pairwise position distances with bandwidth
+    ``bandwidth``.  Rows are never materialized unless
     :meth:`dense` is called.  :meth:`weighted_sums` aggregates group
     indicators by summing within groups; it aggregates the kernel by one FFT
     convolution when the positions lie on an integer lattice (the default
@@ -68,13 +69,10 @@ class WeightMatrix:
     """
 
     side: SideInfo
-    kind: str
     bandwidth: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("group", "kernel"):
-            raise ConfigError(f"unknown weight matrix kind {self.kind!r}")
-        if self.kind == "kernel" and (self.bandwidth is None or self.bandwidth <= 0):
+        if self.side.kind == "position" and (self.bandwidth is None or self.bandwidth <= 0):
             raise ConfigError("kernel weighting requires a positive bandwidth")
 
     @property
@@ -102,7 +100,7 @@ class WeightMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.m:
             raise ConfigError("aggregation vector length must equal m")
-        if self.kind == "group":
+        if self.side.kind == "group":
             groups, idx = np.unique(self.side.values, return_inverse=True)
             return _binned(idx, x, len(groups))[idx]
         idx = self._lattice_index() if self.m else None
@@ -127,7 +125,7 @@ class WeightMatrix:
 
     def dense(self) -> np.ndarray:
         """Materialize the full matrix (intended for small m / tests)."""
-        if self.kind == "group":
+        if self.side.kind == "group":
             s = self.side.values
             return (s[:, None] == s[None, :]).astype(np.float64)
         return self._kernel_block(np.arange(self.m))
@@ -169,30 +167,17 @@ def silverman_bandwidth(side: SideInfo) -> float:
     return h if np.isfinite(h) and h > 0.0 else 1.0
 
 
-def weight_matrix(
-    side: SideInfo, kind: str, bandwidth: Optional[float] = None
-) -> WeightMatrix:
-    """Build the neighborhood matrix for the matching side-info variant.
+def weight_matrix(side: SideInfo, bandwidth: Optional[float] = None) -> WeightMatrix:
+    """The neighborhood matrix of ``side``, of the kind ``side.kind`` implies.
 
-    Group side info yields the same-category indicator; positional side
-    info yields a Gaussian kernel with Silverman's bandwidth unless a
-    fixed bandwidth is supplied.
+    Group side info yields the same-category indicator and ignores
+    ``bandwidth``; positional side info yields a Gaussian kernel with
+    Silverman's bandwidth unless a fixed bandwidth is supplied.
     """
-    if kind == "group":
-        if side.kind != "group":
-            raise VariantMismatch("group weighting needs categorical side info")
-        return WeightMatrix(side=side, kind="group")
-    if kind == "kernel":
-        if side.kind != "position":
-            raise VariantMismatch("kernel weighting needs positional side info")
-        h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(side)
-        return WeightMatrix(side=side, kind="kernel", bandwidth=h)
-    raise ConfigError(f"unknown weight matrix kind {kind!r}")
-
-
-def matrix_for_side(side: SideInfo, bandwidth: Optional[float] = None) -> WeightMatrix:
-    """Pick the matrix kind implied by the side-info variant."""
-    return weight_matrix(side, "group" if side.kind == "group" else "kernel", bandwidth)
+    if side.kind == "group":
+        return WeightMatrix(side=side)
+    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(side)
+    return WeightMatrix(side=side, bandwidth=h)
 
 
 def estimate_sparsity(

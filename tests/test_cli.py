@@ -284,6 +284,43 @@ class TestSelect:
         assert filecmp.cmp(out1 / "report.json", out2 / "report.json", shallow=False)
 
 
+GAUSS = {"family": "OCC", "method": "gaussian"}
+# (command, extra flags, config keys), each with one value of the wrong type
+MISTYPED = {
+    "plus-grid-scalar": ("select", ["--plus"], {"toolbox": [GAUSS], "lambda_grid": 0.2}),
+    "plus-grid-word": ("select", ["--plus"], {"toolbox": [GAUSS], "lambda_grid": ["0.2", "x"]}),
+    "infer-lambda": ("infer", [], {"classifier": GAUSS, "lambda": "abc"}),
+    "infer-alpha-string": ("infer", [], {"classifier": GAUSS, "alpha": "0.1"}),
+    "infer-train-frac-null": ("infer", [], {"classifier": GAUSS, "train_frac": None}),
+    "infer-bandwidth": ("infer", [], {"classifier": GAUSS, "bandwidth": "wide"}),
+    "infer-knn-k": (
+        "infer", [], {"classifier": {"family": "OCC", "method": "knn", "hyperparams": {"k": "many"}}}
+    ),
+    "simulate-grid-string": (
+        "simulate", [], {"methods": [{"pipeline": "ptams_plus", "toolbox": [GAUSS], "lambda_grid": "0.1"}]}
+    ),
+    "simulate-bandwidth": (
+        "simulate", [], {"methods": [{"pipeline": "scq", "classifier": GAUSS, "bandwidth": "wide"}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_mistyped_config_value_exit_one(tmp_path, simulate_config, capsys, case):
+    command, flags, doc = MISTYPED[case]
+    if command == "simulate":
+        doc = {**json.loads(simulate_config.read_text()), **doc}
+        argv = [command]
+    else:
+        write_signal_csv(tmp_path / "signal.csv")
+        argv = [command, str(tmp_path / "signal.csv"), *flags]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestReport:
     def test_merges_metrics(self, tmp_path, simulate_config):
         art = tmp_path / "art"

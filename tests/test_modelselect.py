@@ -1,5 +1,7 @@
 """Pseudo-score selection: coins, operators, and invariance of the choice."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from scq.modelselect import (
     ptams_plus,
     _pseudo_rejection_count,
 )
-from scq.pipeline import WeightConfig, run_scq
+from scq.datamodel import InferenceData, SideInfo, TestSet
+from scq.pipeline import ScoreTable, WeightConfig, run_scq
 from scq.scoring import ClassifierSpec, fit_score
 
 
@@ -279,3 +282,61 @@ class TestPtamsPlus:
             )
             empty_runs += len(result.rejection) == 0
         assert empty_runs >= 99
+
+
+def assert_same_run(got, want):
+    for a, b in (
+        (got.qvalues, want.qvalues),
+        (got.rejection.mask, want.rejection.mask),
+        (got.pairs.v, want.pairs.v),
+        (got.pairs.vt, want.pairs.vt),
+        (got.weights.w, want.weights.w),
+        (got.sparsity.raw, want.sparsity.raw),
+    ):
+        np.testing.assert_array_equal(a, b)
+    assert got.tau == want.tau
+
+
+def with_side(data, kind):
+    if kind == "position":
+        return data
+    groups = SideInfo("group", np.arange(data.m) // 20 + 1)
+    test = TestSet(features=data.test.features, side=groups, truth=data.test.truth)
+    return InferenceData(split=data.split, test=test)
+
+
+GAUSS, KDE = ClassifierSpec("OCC", "gaussian"), ClassifierSpec("OCC", "kde")
+# BIC/knn fails without labeled outliers, so candidate 1 is always excluded
+MIXED = Toolbox((ClassifierSpec("BIC", "knn"), GAUSS, KDE, ClassifierSpec("PUC", "kde-ratio")))
+
+
+class TestOneRunPath:
+    """A selector's answer is run_scq of what it selected."""
+
+    @pytest.mark.parametrize("side", ["group", "position"])
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_selectors_end_in_run_scq(self, side, seed):
+        # these seeds select candidates 2 and 4, and lambda* 0.05 and 0.1
+        data = with_side(make_synthetic_data(m=150, p=3, mu=2.5, seed=seed), side)
+        wcfg = WeightConfig(lam=0.2)
+        coins = CoinStream(seed=seed)
+        trace, result = ptams(MIXED, data, alpha=0.1, coins=coins, weight_cfg=wcfg)
+        assert trace.records[0].r_k == -1
+        spec = MIXED.candidates[trace.selected - 1]
+        assert_same_run(result, run_scq(data, spec, wcfg, alpha=0.1))
+
+        trace, lam, result = ptams_plus(
+            MIXED, data, alpha=0.1, coins=coins, lambda_grid=(0.05, 0.1, 0.3), weight_cfg=wcfg
+        )
+        spec = MIXED.candidates[trace.selected - 1]
+        assert_same_run(result, run_scq(data, spec, replace(wcfg, lam=lam), alpha=0.1))
+
+    def test_table_shares_fits_across_entry_points(self, monkeypatch):
+        data = make_synthetic_data(m=80, p=3, mu=3.0, seed=4)
+        fits = count_calls(monkeypatch, fit_score)
+        table = ScoreTable(data)
+        alone = run_scq(table, GAUSS, WeightConfig(), alpha=0.1)
+        trace, result = ptams(Toolbox((GAUSS, KDE)), table, alpha=0.1, coins=CoinStream(seed=4))
+        assert len(fits) == 2
+        assert trace.selected == 1
+        assert_same_run(result, alone)

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import make_synthetic_data
 from scq.datamodel import SideInfo
-from scq.errors import PiOutOfRange, VariantMismatch
+from scq.errors import PiOutOfRange
 from scq.pipeline import WeightConfig, candidate_pvalues, compute_weights
 from scq.scoring import ClassifierSpec
 from scq.weights import (
     EPS_PI,
     WeightMatrix,
     estimate_sparsity,
-    matrix_for_side,
     oracle_weights,
     structure_weights,
     weight_matrix,
@@ -30,39 +29,33 @@ class TestWeightMatrix:
     def test_group_indicator(self):
         side = SideInfo("group", [1, 1, 2])
         expected = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
-        np.testing.assert_array_equal(weight_matrix(side, "group").dense(), expected)
+        np.testing.assert_array_equal(weight_matrix(side).dense(), expected)
 
     def test_kernel_ratio_one_bandwidth_apart(self):
         h = 2.5
         side = SideInfo("position", [0.0, h, 2 * h])
-        omega = weight_matrix(side, "kernel", bandwidth=h).dense()
+        omega = weight_matrix(side, bandwidth=h).dense()
         assert omega[0, 1] / omega[0, 0] == pytest.approx(np.exp(-0.5))
 
     def test_single_unit(self):
         side = SideInfo("group", [7])
-        np.testing.assert_array_equal(weight_matrix(side, "group").dense(), [[1.0]])
-
-    def test_variant_mismatch(self):
-        with pytest.raises(VariantMismatch):
-            weight_matrix(SideInfo("position", [1.0, 2.0]), "group")
-        with pytest.raises(VariantMismatch):
-            weight_matrix(SideInfo("group", [1, 2]), "kernel", bandwidth=1.0)
+        np.testing.assert_array_equal(weight_matrix(side).dense(), [[1.0]])
 
     def test_row_sums_positive(self):
         side = SideInfo("position", np.arange(50, dtype=float))
-        omega = matrix_for_side(side)
+        omega = weight_matrix(side)
         assert np.all(omega.weighted_sums(np.ones(50)) > 0)
 
     def test_lazy_aggregation_matches_dense(self):
         rng = np.random.default_rng(0)
         side = SideInfo("position", rng.uniform(0, 100, size=60))
-        omega = matrix_for_side(side)
+        omega = weight_matrix(side)
         x = rng.random(60)
         np.testing.assert_allclose(
             omega.weighted_sums(x), omega.dense().T @ x, rtol=1e-12
         )
         gside = SideInfo("group", rng.integers(0, 5, size=60))
-        gomega = matrix_for_side(gside)
+        gomega = weight_matrix(gside)
         np.testing.assert_allclose(gomega.weighted_sums(x), gomega.dense().T @ x)
         # integer-lattice positions take the FFT path; the dense matrix is
         # the oracle for one column and for two
@@ -76,7 +69,7 @@ class TestWeightMatrix:
         for name, s in lattices.items():
             lside = SideInfo("position", s)
             for h in (0.05, 1.0, None, 1e4):
-                lomega = matrix_for_side(lside, h)
+                lomega = weight_matrix(lside, h)
                 dense = lomega.dense()
                 tol = 1e-12 * dense.sum(axis=0)
                 xs = rng.random((len(s), 2))
@@ -92,16 +85,16 @@ class TestWeightMatrix:
 
         monkeypatch.setattr(WeightMatrix, "_kernel_block", refuse)
         x = np.random.default_rng(1).random(40)
-        lattice = matrix_for_side(SideInfo("position", np.arange(1, 41, dtype=float)))
+        lattice = weight_matrix(SideInfo("position", np.arange(1, 41, dtype=float)))
         lattice.weighted_sums(x)
-        irregular = matrix_for_side(SideInfo("position", np.linspace(0.0, 1.0, 40) ** 2))
+        irregular = weight_matrix(SideInfo("position", np.linspace(0.0, 1.0, 40) ** 2))
         with pytest.raises(AssertionError, match="dense kernel block"):
             irregular.weighted_sums(x)
 
     def test_depends_on_side_info_alone(self):
         side = SideInfo("group", [1, 2, 1])
-        a = weight_matrix(side, "group").dense()
-        b = weight_matrix(SideInfo("group", [1, 2, 1]), "group").dense()
+        a = weight_matrix(side).dense()
+        b = weight_matrix(SideInfo("group", [1, 2, 1])).dense()
         np.testing.assert_array_equal(a, b)
 
 
@@ -109,7 +102,7 @@ class TestEstimateSparsity:
     def test_two_unit_group_example(self):
         # 3 of 4 p-values exceed 0.5: raw = 1 - 3/2 = -0.5, clipped up
         side = SideInfo("group", [1, 1])
-        omega = weight_matrix(side, "group")
+        omega = weight_matrix(side)
         est = estimate_sparsity(
             omega, cp([6, 2], 9), cp([7, 9], 9), lam=0.5
         )
@@ -118,7 +111,7 @@ class TestEstimateSparsity:
 
     def test_pure_null_saturation(self):
         side = SideInfo("group", [1, 1, 1])
-        omega = weight_matrix(side, "group")
+        omega = weight_matrix(side)
         ones = cp([10] * 3, 9)
         est = estimate_sparsity(omega, ones, ones, lam=0.5)
         np.testing.assert_allclose(est.raw, [-1.0, -1.0, -1.0])
@@ -126,7 +119,7 @@ class TestEstimateSparsity:
 
     def test_all_signal_saturation(self):
         side = SideInfo("group", [1, 1])
-        omega = weight_matrix(side, "group")
+        omega = weight_matrix(side)
         tiny = cp([1] * 2, 99)
         est = estimate_sparsity(omega, tiny, tiny, lam=0.5)
         np.testing.assert_allclose(est.raw, [1.0, 1.0])
@@ -146,7 +139,7 @@ class TestEstimateSparsity:
         # integer positions take the FFT path, uniform ones the dense path
         positions = rng.integers(-5, 3 * m, size=m) if lattice else rng.uniform(0, 10, size=m)
         side = SideInfo("position", positions)
-        omega = matrix_for_side(side)
+        omega = weight_matrix(side)
         swap = rng.random(m) < 0.5
         p2 = np.where(swap, pt, p)
         pt2 = np.where(swap, p, pt)
@@ -167,7 +160,7 @@ class TestEstimateSparsity:
             return aggregate(self, x)
 
         monkeypatch.setattr(WeightMatrix, "weighted_sums", counted)
-        omega = matrix_for_side(SideInfo("position", np.arange(1, 21, dtype=float)))
+        omega = weight_matrix(SideInfo("position", np.arange(1, 21, dtype=float)))
         p = cp(np.arange(1, 21), 20)
         estimate_sparsity(omega, p, p[::-1], 0.3)
         assert calls == [(20, 2)]
@@ -184,7 +177,7 @@ class TestEstimateSparsity:
         p = cp(nums, n_cal)
         pt = cp(nums[::-1], n_cal)
         side = SideInfo("group", rng.integers(0, 3, size=m))
-        est = estimate_sparsity(matrix_for_side(side), p, pt, 0.5)
+        est = estimate_sparsity(weight_matrix(side), p, pt, 0.5)
         w = structure_weights(est).w
         assert np.all(w > 0) and np.all(np.isfinite(w))
 
