@@ -12,10 +12,9 @@ bit-reproducible from the master seed regardless of worker scheduling.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,14 +27,20 @@ from .datamodel import (
     SyntheticConfig,
     generate_hierarchical,
     split_nulls,
+    write_csv,
 )
-from .errors import ConfigError, ScqError, TooManyFailures, config_number, config_numbers
+from .errors import ConfigError, ScqError, TooManyFailures, config_flag, config_number, config_numbers
 from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
 from .pipeline import ScoreTable, WeightConfig, run_cfbh, run_scq
 from .scoring import ClassifierSpec
 
 PIPELINES = ("scq", "bc-unweighted", "cfbh", "ptams", "ptams_plus")
 FAILURE_CAP = 0.05
+# Per-replication metrics, in the order of the trailing axis of
+# replication_table; each is reported with its standard error.
+METRICS = ("fdr", "ap", "etp")
+# metrics.csv columns and metrics.json keys, in MetricsRow field order
+COLUMNS = ("method", *(c for m in METRICS for c in (m, f"{m}_se")), "reps")
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class MethodSpec:
                 weight_mode=doc.get("weight_mode", "structure"),
                 lam=config_number(doc, "lambda", 0.1),
                 bandwidth=config_number(doc, "bandwidth"),
-                storey=bool(doc.get("storey", True)),
+                storey=config_flag(doc, "storey", True),
                 toolbox=toolbox,
                 lambda_grid=config_numbers(doc.get("lambda_grid", ()), "lambda_grid"),
                 alpha0=config_number(doc, "alpha0"),
@@ -100,30 +105,12 @@ class MetricsRow:
     reps: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.name,
-            "fdr": self.fdr_hat,
-            "fdr_se": self.fdr_se,
-            "ap": self.ap_hat,
-            "ap_se": self.ap_se,
-            "etp": self.etp_hat,
-            "etp_se": self.etp_se,
-            "reps": self.reps,
-        }
+        return dict(zip(COLUMNS, astuple(self)))
 
     @staticmethod
     def from_dict(doc: dict) -> "MetricsRow":
         """Inverse of :meth:`to_dict`, for rows read back from ``metrics.json``."""
-        return MetricsRow(
-            name=doc["method"],
-            fdr_hat=doc["fdr"],
-            fdr_se=doc["fdr_se"],
-            ap_hat=doc["ap"],
-            ap_se=doc["ap_se"],
-            etp_hat=doc["etp"],
-            etp_se=doc["etp_se"],
-            reps=doc["reps"],
-        )
+        return MetricsRow(*(doc[column] for column in COLUMNS))
 
 
 def _rejection_mask(rejection: RejectionSet, truth: np.ndarray) -> np.ndarray:
@@ -156,7 +143,6 @@ def paper_synthetic_config(
     p: int,
     mu: float,
     null_pool_size: Optional[int] = None,
-    seed: int = 0,
 ) -> SyntheticConfig:
     """Block-structured benchmark config, proportionally rescaled from m=3000.
 
@@ -189,11 +175,10 @@ def paper_synthetic_config(
         background_pi=0.01,
         alt_components=tuple(comps),
         null_pool_size=null_pool_size,
-        seed=seed,
     )
 
 
-def attainment_config(m: int, seed: int = 0) -> SyntheticConfig:
+def attainment_config(m: int) -> SyntheticConfig:
     """One-dimensional config whose signal strength grows with m.
 
     Signal magnitude mu_m = sqrt(2 * 1.25 * (log m)^1.25) and block
@@ -216,7 +201,6 @@ def attainment_config(m: int, seed: int = 0) -> SyntheticConfig:
         background_pi=0.01,
         alt_components=(AltComponent(1, m, np.array([mu_m]), 1.0),),
         null_pool_size=round(5 * m / 3),
-        seed=seed,
     )
 
 
@@ -294,9 +278,10 @@ def replication_table(
 ) -> np.ndarray:
     """Paired per-replication outcomes, shape ``(reps, len(methods), 3)``.
 
-    The trailing axis holds (fdp, power, true positives); replications
-    whose pipeline raised are NaN for that method.  If more than
-    ``FAILURE_CAP`` of any method's replications fail, the run aborts.
+    The trailing axis holds (fdp, power, true positives), the per-replication
+    values of ``METRICS``; replications whose pipeline raised are NaN for
+    that method.  If more than ``FAILURE_CAP`` of any method's replications
+    fail, the run aborts.
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
@@ -347,21 +332,8 @@ def compare(
     rows = []
     for mi, method in enumerate(methods):
         good = table[:, mi, :][~np.isnan(table[:, mi, 0])]
-        fdr_hat, fdr_se = _mean_se(good[:, 0])
-        ap_hat, ap_se = _mean_se(good[:, 1])
-        etp_hat, etp_se = _mean_se(good[:, 2])
-        rows.append(
-            MetricsRow(
-                name=method.name,
-                fdr_hat=fdr_hat,
-                fdr_se=fdr_se,
-                ap_hat=ap_hat,
-                ap_se=ap_se,
-                etp_hat=etp_hat,
-                etp_se=etp_se,
-                reps=len(good),
-            )
-        )
+        stats = (x for i in range(len(METRICS)) for x in _mean_se(good[:, i]))
+        rows.append(MetricsRow(method.name, *stats, len(good)))
     return rows
 
 
@@ -379,22 +351,7 @@ def run_replications(
 
 
 def rows_to_csv(rows: Sequence[MetricsRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "fdr", "fdr_se", "ap", "ap_se", "etp", "etp_se", "reps"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.name,
-                    repr(row.fdr_hat),
-                    repr(row.fdr_se),
-                    repr(row.ap_hat),
-                    repr(row.ap_se),
-                    repr(row.etp_hat),
-                    repr(row.etp_se),
-                    row.reps,
-                ]
-            )
+    write_csv(path, COLUMNS, map(astuple, rows))
 
 
 def rows_to_json(rows: Sequence[MetricsRow], path, param_value=None) -> None:
@@ -410,20 +367,14 @@ def long_rows(rows: Sequence[MetricsRow], param_value=None) -> list[list]:
     """Plot-ready long format: method, param_value, metric, value, se."""
     out = []
     for row in rows:
-        for metric, value, se in (
-            ("fdr", row.fdr_hat, row.fdr_se),
-            ("ap", row.ap_hat, row.ap_se),
-            ("etp", row.etp_hat, row.etp_se),
-        ):
-            out.append([row.name, param_value, metric, value, se])
+        doc = row.to_dict()
+        out.extend([row.name, param_value, m, doc[m], doc[f"{m}_se"]] for m in METRICS)
     return out
 
 
 def write_long_csv(records: Sequence[Sequence], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "param_value", "metric", "value", "se"])
-        for rec in records:
-            writer.writerow(
-                [rec[0], "" if rec[1] is None else rec[1], rec[2], repr(float(rec[3])), repr(float(rec[4]))]
-            )
+    write_csv(
+        path,
+        ("method", "param_value", "metric", "value", "se"),
+        ((name, param, metric, float(value), float(se)) for name, param, metric, value, se in records),
+    )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench
 from .datamodel import InferenceData, SyntheticConfig, load_csv, split_nulls
-from .errors import ConfigError, RuntimeFailure, ScqError, UsageError, config_number
+from .errors import ConfigError, RuntimeFailure, ScqError, UsageError, config_flag, config_number
 from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
 from .pipeline import SCQResult, WeightConfig, run_scq
 from .scoring import ClassifierSpec
@@ -120,7 +120,7 @@ def cmd_infer(args) -> int:
     alpha = _alpha_of(args, cfg)
     seed = _seed_of(args, cfg)
     data = _split_csv_data(args.data, seed, config_number(cfg, "train_frac", 0.5))
-    jitter = bool(cfg.get("jitter", False))
+    jitter = config_flag(cfg, "jitter", False)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1])) if jitter else None
     result = run_scq(data, classifier, _weight_config(cfg), alpha, jitter=jitter, rng=rng)
     out = _out_dir(args, cfg)

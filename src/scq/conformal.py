@@ -66,11 +66,10 @@ class ScorePairs:
 
 @dataclass(frozen=True)
 class RejectionSet:
-    """Rejection mask over units 1..m, optional score threshold, and the level used."""
+    """Rejection mask over units 1..m and the level used."""
 
     mask: np.ndarray
     alpha: float
-    threshold: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
@@ -178,7 +177,7 @@ def bc_threshold(pairs: ScorePairs, alpha: float) -> tuple[Optional[float], Reje
     if ok.size == 0:
         return None, RejectionSet(mask=np.zeros(len(v), dtype=bool), alpha=alpha)
     tau = float(grid[ok[-1]])
-    return tau, RejectionSet(mask=(v <= tau) & (v < vt), alpha=alpha, threshold=tau)
+    return tau, RejectionSet(mask=(v <= tau) & (v < vt), alpha=alpha)
 
 
 def evalues(pairs: ScorePairs, alpha: float) -> np.ndarray:
@@ -218,8 +217,7 @@ def _step_up(p: np.ndarray, level: float, alpha: float) -> RejectionSet:
     ok = np.flatnonzero(order <= level * np.arange(1, m + 1) / m)
     if ok.size == 0:
         return RejectionSet(mask=np.zeros(m, dtype=bool), alpha=alpha)
-    cut = order[ok[-1]]
-    return RejectionSet(mask=p <= cut, alpha=alpha, threshold=float(cut))
+    return RejectionSet(mask=p <= order[ok[-1]], alpha=alpha)
 
 
 def bh(pvals: np.ndarray, alpha: float) -> RejectionSet:

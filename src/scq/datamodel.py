@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -23,6 +24,10 @@ from .errors import (
     NonFiniteSideInfo,
     ParseError,
     SchemaMismatch,
+    UnreadableData,
+    as_number,
+    config_number,
+    config_numbers,
 )
 
 ROLE_COLUMN = "__role__"
@@ -197,7 +202,6 @@ class SyntheticConfig:
     background_pi: float
     alt_components: tuple[AltComponent, ...]
     null_pool_size: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.m < 1 or self.p < 1:
@@ -228,51 +232,46 @@ class SyntheticConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "SyntheticConfig":
+        """Parse a ``synthetic`` config section; any other key is a ConfigError."""
+        _check_keys(doc, [f.name for f in fields(SyntheticConfig)], "synthetic config")
         try:
-            blocks = tuple(
-                SparsityBlock(int(b["interval"][0]), int(b["interval"][1]), float(b["pi"]))
-                for b in doc.get("sparsity_blocks", [])
-            )
-            comps = tuple(
-                AltComponent(
-                    int(c["interval"][0]),
-                    int(c["interval"][1]),
-                    np.asarray(c["mean"], dtype=np.float64),
-                    float(c.get("scale", 1.0)),
-                )
-                for c in doc.get("alt_components", [])
-            )
             return SyntheticConfig(
-                m=int(doc["m"]),
-                p=int(doc["p"]),
-                sparsity_blocks=blocks,
-                background_pi=float(doc["background_pi"]),
-                alt_components=comps,
-                null_pool_size=int(doc["null_pool_size"]),
-                seed=int(doc.get("seed", 0)),
+                m=as_number(doc["m"], "m", int),
+                p=as_number(doc["p"], "p", int),
+                sparsity_blocks=tuple(map(_block, doc.get("sparsity_blocks", []))),
+                background_pi=as_number(doc["background_pi"], "background_pi"),
+                alt_components=tuple(map(_component, doc.get("alt_components", []))),
+                null_pool_size=as_number(doc["null_pool_size"], "null_pool_size", int),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic config: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "p": self.p,
-            "sparsity_blocks": [
-                {"interval": [b.lo, b.hi], "pi": b.pi} for b in self.sparsity_blocks
-            ],
-            "background_pi": self.background_pi,
-            "alt_components": [
-                {
-                    "interval": [c.lo, c.hi],
-                    "mean": c.mean.tolist() if c.mean.shape != (1,) else float(c.mean[0]),
-                    "scale": c.scale,
-                }
-                for c in self.alt_components
-            ],
-            "null_pool_size": self.null_pool_size,
-            "seed": self.seed,
-        }
+
+def _check_keys(doc, allowed, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown}; allowed: {list(allowed)}")
+
+
+def _interval(doc: dict) -> tuple:
+    bounds = config_numbers(doc["interval"], "interval", int)
+    if len(bounds) != 2:
+        raise ConfigError(f"interval must be [lo, hi], got {doc['interval']!r}")
+    return bounds
+
+
+def _block(doc) -> SparsityBlock:
+    _check_keys(doc, ("interval", "pi"), "sparsity block")
+    return SparsityBlock(*_interval(doc), as_number(doc["pi"], "pi"))
+
+
+def _component(doc) -> AltComponent:
+    _check_keys(doc, ("interval", "mean", "scale"), "alternative component")
+    mean = doc["mean"]
+    mean = config_numbers(mean, "mean") if isinstance(mean, list) else as_number(mean, "mean")
+    return AltComponent(*_interval(doc), np.asarray(mean), config_number(doc, "scale", 1.0))
 
 
 def split_nulls(
@@ -364,14 +363,15 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
     positional).  All remaining columns are features.  Test rows without a
     side column get positional side info ``1..m`` in file order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch("empty file: no header row") from None
-        rows = list(reader)
-
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
+    if header is None:
+        raise SchemaMismatch("empty file: no header row")
     if ROLE_COLUMN not in header:
         raise SchemaMismatch(f"missing required column {ROLE_COLUMN!r}")
     role_i = header.index(ROLE_COLUMN)
@@ -435,6 +435,14 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
     return pool, test
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows``; :mod:`csv` writes a float as its repr, ``None`` as ""."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(pool: LabeledPool, test: TestSet, path) -> None:
     """Write a pool and test set in the reserved-column CSV format.
 
@@ -443,19 +451,12 @@ def save_csv(pool: LabeledPool, test: TestSet, path) -> None:
     """
     p = pool.dim if pool.dim else test.features.shape[1]
     header = [ROLE_COLUMN, LABEL_COLUMN, SIDE_COLUMN] + [f"f{i}" for i in range(p)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in pool.inliers:
-            writer.writerow([ROLE_TRAIN_NULL, "", ""] + [repr(float(v)) for v in row])
-        for row in pool.outliers:
-            writer.writerow([ROLE_TRAIN_OUTLIER, "", ""] + [repr(float(v)) for v in row])
-        for j in range(test.m):
-            label = "" if test.truth is None else str(int(test.truth[j]))
-            if test.side.kind == "group":
-                side = str(int(test.side.values[j]))
-            else:
-                side = repr(float(test.side.values[j]))
-            writer.writerow(
-                [ROLE_TEST, label, side] + [repr(float(v)) for v in test.features[j]]
-            )
+    labels = [None] * test.m if test.truth is None else test.truth.astype(int).tolist()
+    write_csv(path, header, chain(
+        ([ROLE_TRAIN_NULL, None, None, *row.tolist()] for row in pool.inliers),
+        ([ROLE_TRAIN_OUTLIER, None, None, *row.tolist()] for row in pool.outliers),
+        (
+            [ROLE_TEST, label, side, *row.tolist()]
+            for label, side, row in zip(labels, test.side.values.tolist(), test.features)
+        ),
+    ))

@@ -45,6 +45,10 @@ class NonFiniteSideInfo(UsageError):
     """A positional side-information value is NaN or infinite."""
 
 
+class UnreadableData(UsageError):
+    """The data file cannot be opened or decoded as UTF-8 CSV."""
+
+
 class MissingOutliers(UsageError):
     """A binary classifier was requested without labeled outliers."""
 
@@ -73,20 +77,31 @@ class TooManyFailures(RuntimeFailure):
     """More than the tolerated fraction of replications failed."""
 
 
-def _number(value, key: str, kind=float):
+def as_number(value, key: str, kind=float):
+    """``value`` as a ``kind`` (float, or int if integral), or a ConfigError naming ``key``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return kind(value)
 
 
 def config_number(doc: dict, key: str, default=None, kind=float):
     """``doc[key]`` as a ``kind``, or ``default`` if absent; null only where ``default`` is."""
     value = doc.get(key, default)
-    return None if value is None and default is None else _number(value, key, kind)
+    return None if value is None and default is None else as_number(value, key, kind)
 
 
-def config_numbers(values, key: str) -> tuple:
-    """A list of numbers as a tuple of floats, or a ConfigError naming ``key``."""
+def config_numbers(values, key: str, kind=float) -> tuple:
+    """A list of numbers as a tuple of ``kind``, or a ConfigError naming ``key``."""
     if isinstance(values, str) or not hasattr(values, "__iter__"):
         raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(_number(v, key) for v in values)
+    return tuple(as_number(v, key, kind) for v in values)
+
+
+def config_flag(doc: dict, key: str, default: bool) -> bool:
+    """``doc[key]`` if it is a JSON boolean, ``default`` if absent, else a ConfigError."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value

@@ -64,6 +64,8 @@ class WeightConfig:
     def __post_init__(self):
         if self.mode not in ("structure", "oracle", "unit"):
             raise ConfigError(f"unknown weight mode {self.mode!r}")
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if self.mode == "oracle" and self.oracle_pi is None:
             raise ConfigError("oracle weight mode requires oracle_pi")
 
@@ -247,8 +249,7 @@ def calibrate_pairs(pairs: ScorePairs, alpha: float):
     """Q-values, threshold, and rejections for prepared pairs."""
     q = scq_qvalues(pairs)
     tau, _ = bc_threshold(pairs, alpha)
-    rej = scq_reject(q, alpha)
-    return q, tau, RejectionSet(mask=rej.mask, alpha=alpha, threshold=tau)
+    return q, tau, scq_reject(q, alpha)
 
 
 def run_scq(
@@ -286,7 +287,6 @@ def run_cfbh(
     classifier: ClassifierSpec,
     alpha: float,
     storey: bool = True,
-    lambda_storey: float = 0.5,
 ) -> RejectionSet:
     """Conformal-BH baseline without mirror pairing.
 
@@ -300,4 +300,4 @@ def run_cfbh(
     model = table.model(classifier)
     s_cal = score_batch(model, np.vstack([data.split.cal, data.split.mirror]))
     p = conformal_pvalues(s_cal, score_batch(model, data.test.features)) / (len(s_cal) + 1)
-    return storey_bh(p, alpha, lambda_storey) if storey else bh(p, alpha)
+    return storey_bh(p, alpha) if storey else bh(p, alpha)

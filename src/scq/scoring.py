@@ -40,10 +40,12 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers, config_number
 
+# family -> method -> the hyperparameters the method reads; "k" and
+# "iterations" are positive integers, "bandwidth" and "step" positive reals
 FAMILIES = {
-    "OCC": ("gaussian", "kde", "knn"),
-    "BIC": ("logistic", "knn"),
-    "PUC": ("kde-ratio", "pu-logistic"),
+    "OCC": {"gaussian": (), "kde": ("bandwidth",), "knn": ("k",)},
+    "BIC": {"logistic": ("iterations", "step"), "knn": ("k",)},
+    "PUC": {"kde-ratio": ("bandwidth",), "pu-logistic": ("iterations", "step")},
 }
 
 LOG_DENSITY_FLOOR = -745.0  # log of the smallest positive double
@@ -68,9 +70,17 @@ class ClassifierSpec:
             raise ConfigError(
                 f"method {self.method!r} not supported for family {self.family!r}"
             )
+        if not isinstance(self.hyperparams, Mapping):
+            raise ConfigError(f"hyperparams must be a JSON object, got {self.hyperparams!r}")
         object.__setattr__(self, "hyperparams", dict(self.hyperparams))
-        for key in ("k", "bandwidth", "iterations", "step"):
-            config_number(self.hyperparams, key)  # raises ConfigError on a non-number
+        allowed = FAMILIES[self.family][self.method]
+        for key in self.hyperparams:
+            if key not in allowed:
+                raise ConfigError(f"{self.name} takes hyperparams {list(allowed)}, not {key!r}")
+            kind = int if key in ("k", "iterations") else float
+            value = config_number(self.hyperparams, key, kind=kind)
+            if value is not None and not 0 < value < np.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
 
     @property
     def name(self) -> str:
@@ -173,7 +183,7 @@ def _silverman_bandwidths(train: np.ndarray) -> np.ndarray:
     return h
 
 
-def _regularized_cholesky(cov: np.ndarray, dim: int):
+def _regularized_cholesky(cov: np.ndarray, dim: int) -> np.ndarray:
     """Cholesky of cov + lam*I, escalating lam tenfold up to three times."""
     trace = float(np.trace(cov))
     lam = 1e-6 * trace / dim
@@ -181,8 +191,7 @@ def _regularized_cholesky(cov: np.ndarray, dim: int):
         lam = 1e-6
     for _ in range(4):
         try:
-            chol = np.linalg.cholesky(cov + lam * np.eye(dim))
-            return chol, lam
+            return np.linalg.cholesky(cov + lam * np.eye(dim))
         except np.linalg.LinAlgError:
             lam *= 10.0
     raise DegenerateFit("covariance not positive definite after regularization fallbacks")
@@ -195,14 +204,13 @@ def _fit_gaussian(train: np.ndarray) -> dict:
     cov = np.atleast_2d(cov)
     if not np.all(np.isfinite(cov)):
         raise DegenerateFit("covariance of the training nulls is not finite")
-    chol, lam = _regularized_cholesky(cov, p)
+    chol = _regularized_cholesky(cov, p)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return {
         "mean": mean,
         "chol": chol,
         "inv_chol": np.linalg.inv(chol),
         "logdet": logdet,
-        "lambda_reg": lam,
     }
 
 
@@ -216,8 +224,6 @@ def _gaussian_logpdf(params: dict, x: np.ndarray) -> np.ndarray:
 def _fit_kde(train: np.ndarray, bandwidth: Optional[float]) -> dict:
     if bandwidth is not None:
         h = np.full(train.shape[1], float(bandwidth))
-        if np.any(h <= 0):
-            raise ConfigError("kde bandwidth must be positive")
     else:
         h = _silverman_bandwidths(train)
     # the reference rows are stored divided by h
@@ -262,7 +268,7 @@ def _kde_logpdf(params: dict, x: np.ndarray) -> np.ndarray:
 
 def _knn_k(spec_k: Optional[int], n_train: int) -> int:
     k = int(np.sqrt(n_train)) if spec_k is None else int(spec_k)
-    return max(1, min(k, n_train))
+    return min(k, n_train)  # k >= 1: ClassifierSpec checks it, and n_train >= 1
 
 
 def _reference(rows: np.ndarray) -> dict:

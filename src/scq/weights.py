@@ -23,13 +23,12 @@ O(m^2) path in row chunks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .datamodel import SideInfo
+from .datamodel import SideInfo, write_csv
 from .errors import ConfigError, PiOutOfRange
 
 EPS_PI = 1e-3
@@ -229,16 +228,14 @@ def dump_weight_diagnostics(
     path, side: SideInfo, est: SparsityEstimate, wv: WeightVector
 ) -> None:
     """Write per-unit weight diagnostics as CSV (unit,side,pi_raw,pi_clipped,weight)."""
-    fmt = str if side.kind == "group" else repr
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "side", "pi_raw", "pi_clipped", "weight"])
-        writer.writerows(
-            zip(
-                range(1, len(wv) + 1),
-                map(fmt, side.values.tolist()),
-                map(repr, est.raw.tolist()),
-                map(repr, est.pi_hat.tolist()),
-                map(repr, wv.w.tolist()),
-            )
-        )
+    write_csv(
+        path,
+        ("unit", "side", "pi_raw", "pi_clipped", "weight"),
+        zip(
+            range(1, len(wv) + 1),
+            side.values.tolist(),
+            est.raw.tolist(),
+            est.pi_hat.tolist(),
+            wv.w.tolist(),
+        ),
+    )

@@ -17,17 +17,20 @@ from scq.scoring import fit_score
 from scq.weights import estimate_sparsity
 
 
+SYNTHETIC = {
+    "m": 40,
+    "p": 2,
+    "sparsity_blocks": [{"interval": [1, 10], "pi": 0.9}],
+    "background_pi": 0.01,
+    "alt_components": [{"interval": [1, 40], "mean": 3.0, "scale": 1.0}],
+    "null_pool_size": 80,
+}
+
+
 @pytest.fixture
 def simulate_config(tmp_path):
     cfg = {
-        "synthetic": {
-            "m": 40,
-            "p": 2,
-            "sparsity_blocks": [{"interval": [1, 10], "pi": 0.9}],
-            "background_pi": 0.01,
-            "alt_components": [{"interval": [1, 40], "mean": 3.0, "scale": 1.0}],
-            "null_pool_size": 80,
-        },
+        "synthetic": SYNTHETIC,
         "methods": [
             {
                 "name": "scq-gauss",
@@ -201,6 +204,18 @@ class TestInfer:
         assert err.startswith("error: positional side info must be finite")
         assert f"unit 60 is {float(bad)}" in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_data_exit_one(self, tmp_path, infer_config, capsys, kind):
+        data = tmp_path / "data.csv"
+        if kind == "directory":
+            data.mkdir()
+        elif kind == "not-utf8":
+            data.write_bytes("__role__,f0\ntest,0.5\n# caf\u00e9\n".encode("latin-1"))
+        rc = main(["infer", str(data), "--config", str(infer_config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read data file {data}") and "Traceback" not in err
+
     def test_no_test_rows_exit_one(self, tmp_path, infer_config, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("__role__,f0\n" + "\n".join(["train-null,0.5"] * 5) + "\n")
@@ -302,6 +317,50 @@ MISTYPED = {
     "simulate-bandwidth": (
         "simulate", [], {"methods": [{"pipeline": "scq", "classifier": GAUSS, "bandwidth": "wide"}]}
     ),
+    # a flag must be a JSON boolean: "false" is a string, and bool("false") is True
+    "simulate-storey-string": (
+        "simulate", [], {"methods": [{"pipeline": "cfbh", "classifier": GAUSS, "storey": "false"}]}
+    ),
+    "infer-jitter-string": ("infer", [], {"classifier": GAUSS, "jitter": "false"}),
+    # integer settings must be integral, not truncated
+    "simulate-reps-fraction": ("simulate", [], {"reps": 2.5}),
+    "simulate-seed-fraction": ("simulate", [], {"seed": 2.5}),
+    "simulate-threads-fraction": ("simulate", [], {"threads": 1.5}),
+    "infer-seed-fraction": ("infer", [], {"classifier": GAUSS, "seed": 2.5}),
+    # synthetic fields are numbers of the right kind, and no other key is read
+    "synthetic-m-string": ("simulate", [], {"synthetic": {**SYNTHETIC, "m": "40"}}),
+    "synthetic-p-fraction": ("simulate", [], {"synthetic": {**SYNTHETIC, "p": 2.9}}),
+    "synthetic-pi-string": (
+        "simulate", [], {"synthetic": {**SYNTHETIC, "sparsity_blocks": [{"interval": [1, 10], "pi": "0.9"}]}}
+    ),
+    "synthetic-interval-fraction": (
+        "simulate", [], {"synthetic": {**SYNTHETIC, "sparsity_blocks": [{"interval": [1.9, 10], "pi": 0.9}]}}
+    ),
+    "synthetic-key-typo": (
+        "simulate", [], {"synthetic": {**SYNTHETIC, "sparsity_block": [{"interval": [1, 10], "pi": 0.9}]}}
+    ),
+    "synthetic-seed": ("simulate", [], {"synthetic": {**SYNTHETIC, "seed": 7}}),
+    # hyperparams a method does not read, and values outside their range
+    "infer-kde-bandwidth-typo": (
+        "infer", [], {"classifier": {"family": "OCC", "method": "kde", "hyperparams": {"bandwith": 0.05}}}
+    ),
+    "infer-knn-k-negative": (
+        "infer", [], {"classifier": {"family": "OCC", "method": "knn", "hyperparams": {"k": -5}}}
+    ),
+    "infer-knn-k-fraction": (
+        "infer", [], {"classifier": {"family": "OCC", "method": "knn", "hyperparams": {"k": 2.5}}}
+    ),
+    "infer-iterations-zero": (
+        "infer", [], {"classifier": {"family": "PUC", "method": "pu-logistic", "hyperparams": {"iterations": 0}}}
+    ),
+    "infer-step-negative": (
+        "infer", [], {"classifier": {"family": "PUC", "method": "pu-logistic", "hyperparams": {"step": -0.1}}}
+    ),
+    "select-toolbox-bandwidth-negative": (
+        "select", [], {"toolbox": [GAUSS, {"family": "OCC", "method": "kde", "hyperparams": {"bandwidth": -1}}]}
+    ),
+    "select-bandwidth-negative": ("select", [], {"toolbox": [GAUSS], "bandwidth": -1}),
+    "infer-bandwidth-negative": ("infer", [], {"classifier": GAUSS, "bandwidth": -1}),
 }
 
 

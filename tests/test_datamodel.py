@@ -1,5 +1,7 @@
 """Data types, null splitting, synthetic generation, CSV round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -93,7 +95,6 @@ def small_config(**overrides):
         background_pi=0.0,
         alt_components=(AltComponent(1, 100, np.full(3, 10.0), 1.0),),
         null_pool_size=50,
-        seed=0,
     )
     base.update(overrides)
     return SyntheticConfig(**base)
@@ -153,8 +154,20 @@ class TestGenerateHierarchical:
             small_config(background_pi=-0.1)
 
     def test_json_round_trip(self):
-        cfg = small_config()
-        assert SyntheticConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        # the JSON document of small_config() parses back to it field for field
+        doc = {
+            "m": 100,
+            "p": 3,
+            "sparsity_blocks": [{"interval": [1, 100], "pi": 1.0}],
+            "background_pi": 0.0,
+            "alt_components": [{"interval": [1, 100], "mean": [10.0, 10.0, 10.0], "scale": 1.0}],
+            "null_pool_size": 50,
+        }
+        cfg, want = SyntheticConfig.from_dict(doc), small_config()
+        assert replace(cfg, alt_components=()) == replace(want, alt_components=())
+        (comp,), (want_comp,) = cfg.alt_components, want.alt_components
+        assert (comp.lo, comp.hi, comp.scale) == (want_comp.lo, want_comp.hi, want_comp.scale)
+        np.testing.assert_array_equal(comp.mean, want_comp.mean)
 
 
 class TestCsv:
