@@ -31,7 +31,7 @@ from .datamodel import (
 )
 from .errors import ConfigError, ScqError, TooManyFailures, config_flag, config_number, config_numbers
 from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
-from .pipeline import ScoreTable, WeightConfig, run_cfbh, run_scq
+from .pipeline import ScoreTable, WeightConfig, check_weight_setting, run_cfbh, run_scq
 from .scoring import ClassifierSpec
 
 PIPELINES = ("scq", "bc-unweighted", "cfbh", "ptams", "ptams_plus")
@@ -65,6 +65,8 @@ class MethodSpec:
             raise ConfigError(f"pipeline {self.pipeline!r} requires a classifier")
         if self.pipeline in ("ptams", "ptams_plus") and self.toolbox is None:
             raise ConfigError(f"pipeline {self.pipeline!r} requires a toolbox")
+        # checked here, before any replication; oracle_pi arrives with each dataset
+        check_weight_setting(self.weight_mode, self.lam, self.bandwidth)
 
     @staticmethod
     def from_dict(doc: dict) -> "MethodSpec":

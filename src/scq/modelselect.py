@@ -81,6 +81,8 @@ class Toolbox:
 
     @staticmethod
     def from_list(docs: Sequence[dict]) -> "Toolbox":
+        if not isinstance(docs, (list, tuple)):
+            raise ConfigError(f"a toolbox must be a JSON list of classifier specs, got {docs!r}")
         specs = tuple(ClassifierSpec.from_dict(d) for d in docs)
         names = tuple(
             d.get("name", spec.name) for d, spec in zip(docs, specs)

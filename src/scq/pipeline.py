@@ -45,6 +45,17 @@ from .weights import (
 JITTER_SCALE = 1e6  # tie-breaking jitter is u / (JITTER_SCALE * (N + 1))
 
 
+def check_weight_setting(mode: str, lam: float, bandwidth: Optional[float]) -> None:
+    """Raise ConfigError unless ``mode``, ``lam`` and ``bandwidth`` form a
+    valid weight setting (the checks every :class:`WeightConfig` makes)."""
+    if mode not in ("structure", "oracle", "unit"):
+        raise ConfigError(f"unknown weight mode {mode!r}")
+    if not 0.0 < lam < 1.0:
+        raise ConfigError(f"lambda must lie in (0, 1), got {lam}")
+    if bandwidth is not None and not 0.0 < bandwidth < np.inf:
+        raise ConfigError(f"bandwidth must be positive and finite, got {bandwidth}")
+
+
 @dataclass(frozen=True)
 class WeightConfig:
     """How per-unit weights are produced.
@@ -62,10 +73,7 @@ class WeightConfig:
     oracle_pi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.mode not in ("structure", "oracle", "unit"):
-            raise ConfigError(f"unknown weight mode {self.mode!r}")
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
-            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        check_weight_setting(self.mode, self.lam, self.bandwidth)
         if self.mode == "oracle" and self.oracle_pi is None:
             raise ConfigError("oracle weight mode requires oracle_pi")
 
@@ -109,16 +117,9 @@ def _fit(data: InferenceData, spec: ClassifierSpec) -> ScoreModel:
     return fit_score(spec, ctx)
 
 
-def _candidate_scores(
-    data: InferenceData, spec: ClassifierSpec, model: ScoreModel
-) -> CandidateScores:
-    s_cal = score_batch(model, data.split.cal)
-    return CandidateScores(
-        spec=spec,
-        num=conformal_pvalues(s_cal, score_batch(model, data.test.features)),
-        num_tilde=conformal_pvalues(s_cal, score_batch(model, data.split.mirror)),
-        n_cal=len(s_cal),
-    )
+def _kde_half(model: ScoreModel, half: str) -> ScoreModel:
+    """One of the two KDEs of a PUC/kde-ratio model, as an OCC/kde model."""
+    return ScoreModel(family="OCC", method="kde", dim=model.dim, params=model.params[half])
 
 
 def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateScores:
@@ -155,11 +156,14 @@ def _memo(entries: list, key, make):
 
 
 class ScoreTable:
-    """The fits, p-value numerators and learned weights of one dataset.
+    """The fits, p-value numerators, learned weights and runs of one dataset.
 
     Each classifier is fitted and scored once, and each (classifier,
     screening threshold, bandwidth) gets one structure-weight estimate,
-    however many methods ask for them.  A table belongs to one
+    however many methods ask for them.  OCC/kde and PUC/kde-ratio at one
+    ``bandwidth`` hyperparameter share the train-null KDE density of each
+    batch, and :func:`run_scq` calibrates each (classifier, weight
+    setting, alpha) once.  A table belongs to one
     :class:`~scq.datamodel.InferenceData` and lives as long as the caller
     keeps it: one replication in the bench, one run elsewhere.  A failed
     fit or estimate is not stored, so asking again raises again.
@@ -168,8 +172,10 @@ class ScoreTable:
     def __init__(self, data: InferenceData):
         self.data = data
         self._models = []
+        self._null_kde = []
         self._scores = []
         self._weights = []
+        self._runs = []
 
     @staticmethod
     def of(data: Union[InferenceData, "ScoreTable"]) -> "ScoreTable":
@@ -179,10 +185,40 @@ class ScoreTable:
     def model(self, spec: ClassifierSpec) -> ScoreModel:
         return _memo(self._models, spec, lambda: _fit(self.data, spec))
 
-    def scores(self, spec: ClassifierSpec) -> CandidateScores:
-        return _memo(
-            self._scores, spec, lambda: _candidate_scores(self.data, spec, self.model(spec))
+    def _batch_scores(self, spec: ClassifierSpec) -> list:
+        """Scores of the calibration, test and mirror batches.
+
+        The train-null KDE is fitted on the same rows at the same bandwidth
+        by OCC/kde and by PUC/kde-ratio, so its density of each batch is
+        computed once per bandwidth; kde-ratio subtracts the mixture KDE from
+        it, as ``score_batch`` does.
+        """
+        model = self.model(spec)
+        batches = (self.data.split.cal, self.data.test.features, self.data.split.mirror)
+        if spec.method not in ("kde", "kde-ratio"):
+            return [score_batch(model, x) for x in batches]
+        null = model if spec.method == "kde" else _kde_half(model, "null_kde")
+        density = _memo(
+            self._null_kde,
+            spec.hyperparams.get("bandwidth"),
+            lambda: [score_batch(null, x) for x in batches],
         )
+        if spec.method == "kde":
+            return density
+        mix = _kde_half(model, "mix_kde")
+        return [d - score_batch(mix, x) for d, x in zip(density, batches)]
+
+    def scores(self, spec: ClassifierSpec) -> CandidateScores:
+        def make():
+            s_cal, s_test, s_mirror = self._batch_scores(spec)
+            return CandidateScores(
+                spec=spec,
+                num=conformal_pvalues(s_cal, s_test),
+                num_tilde=conformal_pvalues(s_cal, s_mirror),
+                n_cal=len(s_cal),
+            )
+
+        return _memo(self._scores, spec, make)
 
     def weights(
         self, scores: CandidateScores, cfg: WeightConfig
@@ -263,23 +299,32 @@ def run_scq(
     """Full structure-adaptive run with one fixed classifier.
 
     ``data`` may be a :class:`ScoreTable`, whose fits and weights the run
-    then reuses.
+    then reuses; the table also keeps the result, so the same classifier,
+    weight setting and ``alpha`` give the same result object again.  Runs
+    with jitter or oracle weights are not kept.
     """
     table = ScoreTable.of(data)
-    scores = table.scores(classifier)
-    w, est = table.weights(scores, weight_cfg)
-    pairs = weighted_pairs(scores, w, jitter=jitter, rng=rng)
-    q, tau, rej = calibrate_pairs(pairs, alpha)
-    return SCQResult(
-        rejection=rej,
-        qvalues=q,
-        tau=tau,
-        pairs=pairs,
-        weights=w,
-        scores=scores,
-        num_tied_pairs=count_tied_pairs(pairs),
-        sparsity=est,
-    )
+
+    def run():
+        scores = table.scores(classifier)
+        w, est = table.weights(scores, weight_cfg)
+        pairs = weighted_pairs(scores, w, jitter=jitter, rng=rng)
+        q, tau, rej = calibrate_pairs(pairs, alpha)
+        return SCQResult(
+            rejection=rej,
+            qvalues=q,
+            tau=tau,
+            pairs=pairs,
+            weights=w,
+            scores=scores,
+            num_tied_pairs=count_tied_pairs(pairs),
+            sparsity=est,
+        )
+
+    if jitter or weight_cfg.mode == "oracle":
+        return run()
+    key = (classifier, weight_cfg.mode, weight_cfg.lam, weight_cfg.bandwidth, alpha)
+    return _memo(table._runs, key, run)
 
 
 def run_cfbh(

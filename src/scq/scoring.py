@@ -17,7 +17,11 @@ fixed-iteration full-batch gradient descent with zero initialization.
 The module needs numpy alone.  The KDE row log-sum-exp splits off the row
 maximum in the order scipy's ``logsumexp`` uses (analysed by Blanchard,
 Higham & Higham, 2021, *IMA J. Numer. Anal.* 41:2311), so KDE scores are
-bit-identical to those of releases that called scipy.
+bit-identical to those of releases that called scipy.  It finds the
+maximum with one ``argmax`` per row and counts ties only when some row's
+runner-up is not strictly below it; a unique maximum leaves the block
+exactly as the count would, so the fast path changes the cost, not the
+order of the sum.
 
 The distance scorers (KDE, both kNNs, and so the KDE ratio) reduce their
 distances block by block from ``_sq_dist_blocks``, so memory stays flat as
@@ -88,6 +92,8 @@ class ClassifierSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ClassifierSpec":
+        if not isinstance(doc, Mapping):
+            raise ConfigError(f"a classifier spec must be a JSON object, got {doc!r}")
         try:
             return ClassifierSpec(
                 family=doc["family"],
@@ -230,6 +236,16 @@ def _fit_kde(train: np.ndarray, bandwidth: Optional[float]) -> dict:
     return {"h": h, **_reference(train / h)}
 
 
+def _split_off_max(a: np.ndarray):
+    """Set every entry equal to its row maximum to -inf; return the row
+    maxima and the count k of such entries per row."""
+    amax = np.max(a, axis=1)
+    at_max = a == amax[:, None]
+    k = np.count_nonzero(at_max, axis=1).astype(np.float64)
+    np.copyto(a, -np.inf, where=at_max)
+    return amax, k
+
+
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise ``log(sum(exp(a)))``, overwriting ``a``.
 
@@ -237,19 +253,29 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     shifted, exponentiated and summed in place, giving
     ``log1p(s / k) + log(k) + max``.  A row of -inf gives -inf and a row
     holding NaN gives NaN, without a warning.
+
+    Most blocks have one maximum per row, so the split starts with one
+    ``argmax`` per row: that entry is set to -inf, and if every row's
+    largest remaining entry lies strictly below it, k = 1 and the block
+    holds exactly what the tie count would leave.  A NaN row, a tie at the
+    maximum (0.0 against -0.0 included) or a row of -inf fails the strict
+    test, and then the entries are restored and ``_split_off_max`` counts
+    the ties.  Either way the shift, sum and log see the same numbers in
+    the same order as scipy's.
     """
-    amax = np.max(a, axis=1, keepdims=True)
-    at_max = a == amax
-    if np.count_nonzero(at_max) == a.shape[0] and not np.isnan(amax).any():
-        k = 1.0  # every row has exactly one maximum
+    rows = np.arange(a.shape[0])
+    top = np.argmax(a, axis=1)
+    amax = a[rows, top]
+    a[rows, top] = -np.inf
+    if np.all(np.max(a, axis=1) < amax):
+        k = 1.0
     else:
-        k = np.count_nonzero(at_max, axis=1).astype(np.float64)
-    np.copyto(a, -np.inf, where=at_max)
+        a[rows, top] = amax
+        amax, k = _split_off_max(a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a -= amax
+        a -= amax[:, None]
         np.exp(a, out=a)
         s = np.sum(a, axis=1)
-        amax = amax[:, 0]
         out = np.log1p(s / k) + np.log(k) + amax
     out[np.isneginf(amax)] = -np.inf
     return out
@@ -286,7 +312,9 @@ def _sq_dist_blocks(x: np.ndarray, ref: Mapping[str, np.ndarray]):
     The blocks cover the rows of ``x`` in order and are views of two
     buffers allocated once per call, so a consumer must reduce each block
     before asking for the next.  Each entry is
-    ``max(|x|^2 + |t|^2 - (2x).t, 0)``, computed in that order.
+    ``max(|t|^2 + |x|^2 - (2x).t, 0)``, computed in that order: the norms
+    of the reference rows are copied in whole and each row's own norm is
+    added in place, and ``t + x`` is the same double as ``x + t``.
     """
     train, tt = ref["train"], ref["train_sq"]
     n = x.shape[0]
@@ -301,7 +329,8 @@ def _sq_dist_blocks(x: np.ndarray, ref: Mapping[str, np.ndarray]):
     for lo, hi in zip(bounds, bounds[1:]):
         gb, ab = g[: hi - lo], a[: hi - lo]
         np.matmul(2.0 * x[lo:hi], train.T, out=gb)
-        np.add(xx[lo:hi, None], tt[None, :], out=ab)
+        np.copyto(ab, tt)
+        ab += xx[lo:hi, None]
         ab -= gb
         np.maximum(ab, 0.0, out=ab)
         yield slice(lo, hi), ab

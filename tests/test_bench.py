@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import count_calls
-from scq import scoring, weights
+from scq import bench, modelselect, pipeline, scoring, weights
 from scq.bench import (
     MethodSpec,
     MetricsRow,
@@ -20,6 +20,7 @@ from scq.bench import (
     run_replications,
     true_positives,
     write_long_csv,
+    _replicate_once,
 )
 from scq.conformal import RejectionSet
 from scq.datamodel import SyntheticConfig
@@ -170,6 +171,30 @@ class TestSharedScoreTable:
         # OCC/gaussian and OCC/kde, each fitted and weighted once per replication
         assert len(fits) == 2 * 3
         assert len(estimates) == 2 * 3
+
+    def test_ptams_reuses_the_scq_run(self, monkeypatch):
+        # scq and ptams each calibrate once, bc-unweighted once, and ptams's
+        # two pseudo counts once each; ptams's final run is the scq run
+        traces = []
+
+        def recording_ptams(*args, **kwargs):
+            trace, result = modelselect.ptams(*args, **kwargs)
+            traces.append(trace)
+            return trace, result
+
+        monkeypatch.setattr(bench, "ptams", recording_ptams)
+        calibrations = count_calls(monkeypatch, pipeline.calibrate_pairs)
+        cfg = paper_synthetic_config(m=500, p=5, mu=3.0)
+        _, outcomes = _replicate_once((tuple(REPLICATE_METHODS), cfg, 0.1, 0.5, 1, 0))
+        assert not any(isinstance(o, Exception) for o in outcomes)
+        assert traces[0].selected == 1  # OCC/gaussian, the scq method's classifier
+        assert outcomes[-1] == outcomes[0]
+        assert len(calibrations) == 4
+
+    def test_bad_weight_setting_fails_when_built(self):
+        for setting in ({"bandwidth": -1.0}, {"weight_mode": "structur"}, {"lam": 0.0}):
+            with pytest.raises(ConfigError):
+                MethodSpec(name="scq", pipeline="scq", classifier=GAUSS, **setting)
 
 
 class TestConfigBuilders:

@@ -361,6 +361,10 @@ MISTYPED = {
     ),
     "select-bandwidth-negative": ("select", [], {"toolbox": [GAUSS], "bandwidth": -1}),
     "infer-bandwidth-negative": ("infer", [], {"classifier": GAUSS, "bandwidth": -1}),
+    # a classifier section or toolbox entry must be a JSON object
+    "infer-classifier-string": ("infer", [], {"classifier": "OCC/gaussian"}),
+    "select-toolbox-entry-string": ("select", [], {"toolbox": [GAUSS, "OCC/kde"]}),
+    "select-toolbox-object": ("select", ["--plus"], {"toolbox": {"OCC/gaussian": GAUSS}}),
 }
 
 
@@ -378,6 +382,22 @@ def test_mistyped_config_value_exit_one(tmp_path, simulate_config, capsys, case)
     assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "setting", [{"bandwidth": -1}, {"weight_mode": "structur"}, {"lambda": 1.5}]
+)
+def test_bad_weight_setting_stops_before_any_replication(
+    tmp_path, simulate_config, capsys, monkeypatch, setting
+):
+    fits = count_calls(monkeypatch, fit_score)
+    doc = json.loads(simulate_config.read_text())
+    doc["methods"][0].update(setting)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert fits == []
 
 
 class TestReport:

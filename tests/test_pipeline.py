@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from helpers import make_synthetic_data
+from helpers import count_calls, make_synthetic_data
+from scq import scoring
 from scq.bench import paper_synthetic_config
 from scq.conformal import bh
 from scq.errors import ConfigError
-from scq.pipeline import WeightConfig, run_cfbh, run_scq
+from scq.pipeline import ScoreTable, WeightConfig, run_cfbh, run_scq
 from scq.scoring import ClassifierSpec
 from scq.weights import structure_weights
 
 GAUSS = ClassifierSpec("OCC", "gaussian")
+KDE = ClassifierSpec("OCC", "kde")
 
 
 class TestWeightModes:
@@ -100,3 +102,61 @@ class TestCfbh:
             false = np.count_nonzero(rej.mask & ~truth)
             total_fdp.append(false / max(1, len(rej)))
         assert np.mean(total_fdp) <= 0.05 + 2 * np.std(total_fdp) / np.sqrt(30) + 1e-9
+
+
+class TestSharedNullDensity:
+    @pytest.mark.parametrize("hyperparams", [{}, {"bandwidth": 0.5}])
+    @pytest.mark.parametrize("kde_first", [True, False])
+    def test_shared_table_equals_fresh_tables(self, monkeypatch, hyperparams, kde_first):
+        # the train-null KDE density of each batch is scored once, by
+        # whichever of the two comes first, and the answers do not move
+        data = make_synthetic_data(m=97, p=3, mu=2.0, seed=8)
+        order = [ClassifierSpec(*spec, hyperparams) for spec in (("OCC", "kde"), ("PUC", "kde-ratio"))]
+        if not kde_first:
+            order.reverse()
+        densities = count_calls(monkeypatch, scoring._kde_logpdf)
+        table = ScoreTable(data)
+        shared = [table.scores(spec) for spec in order]
+        assert len(densities) == 3 + 3  # one null and one mixture KDE per batch
+        for spec, got in zip(order, shared):
+            fresh = ScoreTable(data).scores(spec)
+            np.testing.assert_array_equal(got.num, fresh.num)
+            np.testing.assert_array_equal(got.num_tilde, fresh.num_tilde)
+
+    def test_other_bandwidth_shares_nothing(self, monkeypatch):
+        data = make_synthetic_data(m=97, p=3, mu=2.0, seed=9)
+        narrow = ClassifierSpec("PUC", "kde-ratio", {"bandwidth": 0.5})
+        densities = count_calls(monkeypatch, scoring._kde_logpdf)
+        table = ScoreTable(data)
+        table.scores(KDE)
+        got = table.scores(narrow)
+        assert len(densities) == 3 + 3 + 3
+        fresh = ScoreTable(data).scores(narrow)
+        np.testing.assert_array_equal(got.num, fresh.num)
+        np.testing.assert_array_equal(got.num_tilde, fresh.num_tilde)
+
+
+class TestRunMemo:
+    def test_same_setting_same_run(self):
+        table = ScoreTable(make_synthetic_data(m=60, p=2, mu=3.0, seed=10))
+        run = run_scq(table, GAUSS, WeightConfig(), alpha=0.1)
+        assert run_scq(table, GAUSS, WeightConfig(), alpha=0.1) is run
+        for other in (
+            run_scq(table, GAUSS, WeightConfig(lam=0.3), alpha=0.1),
+            run_scq(table, GAUSS, WeightConfig(bandwidth=2.0), alpha=0.1),
+            run_scq(table, GAUSS, WeightConfig(mode="unit"), alpha=0.1),
+            run_scq(table, GAUSS, WeightConfig(), alpha=0.2),
+            run_scq(table, KDE, WeightConfig(), alpha=0.1),
+        ):
+            assert other is not run
+
+    def test_jitter_and_oracle_runs_are_not_kept(self):
+        cfg = paper_synthetic_config(m=60, p=2, mu=3.0)
+        table = ScoreTable(make_synthetic_data(m=60, p=2, mu=3.0, seed=11))
+        unit = WeightConfig(mode="unit")
+        rng = np.random.default_rng(0)
+        a = run_scq(table, GAUSS, unit, alpha=0.1, jitter=True, rng=rng)
+        b = run_scq(table, GAUSS, unit, alpha=0.1, jitter=True, rng=rng)
+        assert a is not b and not np.array_equal(a.pairs.v, b.pairs.v)
+        oracle = WeightConfig(mode="oracle", oracle_pi=cfg.pi_vector())
+        assert run_scq(table, GAUSS, oracle, alpha=0.1) is not run_scq(table, GAUSS, oracle, alpha=0.1)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,6 +249,41 @@ class TestLogsumexpRows:
         # the NaN row has no entry at its max and the tied row has two, so a
         # count over the whole block equals the row count while k is not 1
         self.check([[np.nan, 0.0, -1.0], [2.0, 2.0, 0.5], [0.0, -1.0, -2.0]])
+
+    @pytest.mark.parametrize("special", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_col=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_mixed_rows_bit_identical(self, special, data, n_col, seed):
+        # unique-max rows take the argmax fast path; a block with any tie at
+        # the max (0.0 against -0.0 included), all -inf row or NaN row falls
+        # back to counting ties, and either way the bits are scipy's
+        rng = np.random.default_rng(seed)
+        kinds = ["unique", "unique-neg-zero"] + (["unique-inf"] if n_col > 1 else [])
+        odd = ["all-inf", "nan"] + (["tied", "signed-zeros"] if n_col > 1 else [])
+        rows = data.draw(st.lists(st.sampled_from(kinds + odd if special else kinds), min_size=1))
+        if special and not set(rows) & set(odd):
+            rows.append(data.draw(st.sampled_from(odd)))
+        a = np.empty((len(rows), n_col))
+        for row, kind in zip(a, rows):
+            row[:] = -rng.chisquare(2, n_col) - 1e-3
+            top, other = rng.permutation(n_col)[:2] if n_col > 1 else (0, 0)
+            if kind == "unique":
+                row[top] = rng.normal()
+            elif kind == "unique-inf":
+                row[other] = -np.inf
+            elif kind == "unique-neg-zero":
+                row[top] = -0.0
+            elif kind == "all-inf":
+                row[:] = -np.inf
+            elif kind == "nan":
+                row[top] = np.nan
+            elif kind == "tied":
+                row[top] = row[other] = rng.random()
+            else:  # signed-zeros
+                row[top], row[other] = 0.0, -0.0
+        with mock.patch.object(scoring, "_split_off_max", wraps=scoring._split_off_max) as ties:
+            self.check(a)
+        assert ties.call_count == int(special)
 
     def test_nan_row_is_nan_without_warning(self):
         a = np.array([[0.0, np.nan, -1.0], [np.nan, np.nan, np.nan], [0.0, -1.0, -2.0]])
