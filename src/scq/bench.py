@@ -1,5 +1,9 @@
 """Seeded replication harness, metrics, and experiment protocol configs.
 
+A :class:`MethodSpec` is a pipeline and the settings ``METHOD_KEYS``
+lists for it, checked when built; :func:`run_method`, the one dispatcher
+over pipelines, runs it here and for ``scq infer`` and ``scq select``.
+
 ``compare`` runs a list of methods over the same stream of synthetic
 datasets: replication ``r`` derives its generator from
 ``(master_seed, r)``, generates one dataset, and feeds it to every method,
@@ -14,8 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass
-from typing import Optional, Sequence
+from dataclasses import astuple, dataclass, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,12 +33,27 @@ from .datamodel import (
     split_nulls,
     write_csv,
 )
-from .errors import ConfigError, ScqError, TooManyFailures, config_flag, config_number, config_numbers
-from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
-from .pipeline import ScoreTable, WeightConfig, check_weight_setting, run_cfbh, run_scq
+from .errors import (
+    ConfigError, ScqError, TooManyFailures, as_number, check_keys, config_flag, config_number
+)
+from .modelselect import (
+    DEFAULT_LAMBDA_GRID, CoinStream, SelectionTrace, Toolbox, checked_lambda_grid, ptams, ptams_plus
+)
+from .pipeline import SCQResult, ScoreTable, WeightConfig, run_cfbh, run_scq
 from .scoring import ClassifierSpec
 
-PIPELINES = ("scq", "bc-unweighted", "cfbh", "ptams", "ptams_plus")
+# The config keys each pipeline reads besides "name" and "pipeline"; the
+# first is required.  MethodSpec.from_dict rejects any other key, and `scq
+# infer` and `scq select` take their method keys from this table.
+# bc-unweighted always uses unit weights, and ptams_plus chooses its own
+# screening threshold.
+METHOD_KEYS = {
+    "scq": ("classifier", "weight_mode", "lambda", "bandwidth"),
+    "bc-unweighted": ("classifier",),
+    "cfbh": ("classifier", "storey"),
+    "ptams": ("toolbox", "alpha0", "weight_mode", "lambda", "bandwidth"),
+    "ptams_plus": ("toolbox", "alpha0", "lambda_grid", "weight_mode", "bandwidth"),
+}
 FAILURE_CAP = 0.05
 # Per-replication metrics, in the order of the trailing axis of
 # replication_table; each is reported with its standard error.
@@ -45,52 +64,51 @@ COLUMNS = ("method", *(c for m in METRICS for c in (m, f"{m}_se")), "reps")
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A named end-to-end pipeline the harness can replicate."""
+    """A named end-to-end pipeline, checked before any data is read."""
 
     name: str
     pipeline: str
     classifier: Optional[ClassifierSpec] = None
-    weight_mode: str = "structure"
-    lam: float = 0.1
-    bandwidth: Optional[float] = None
+    weight_cfg: WeightConfig = WeightConfig()
     storey: bool = True
     toolbox: Optional[Toolbox] = None
-    lambda_grid: tuple = ()
+    lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     alpha0: Optional[float] = None
 
     def __post_init__(self):
-        if self.pipeline not in PIPELINES:
+        if self.pipeline not in METHOD_KEYS:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}")
-        if self.pipeline in ("scq", "bc-unweighted", "cfbh") and self.classifier is None:
-            raise ConfigError(f"pipeline {self.pipeline!r} requires a classifier")
-        if self.pipeline in ("ptams", "ptams_plus") and self.toolbox is None:
-            raise ConfigError(f"pipeline {self.pipeline!r} requires a toolbox")
-        # checked here, before any replication; oracle_pi arrives with each dataset
-        check_weight_setting(self.weight_mode, self.lam, self.bandwidth)
+        needed = METHOD_KEYS[self.pipeline][0]
+        if getattr(self, needed) is None:
+            raise ConfigError(f"pipeline {self.pipeline!r} requires a {needed}")
+        object.__setattr__(self, "lambda_grid", tuple(checked_lambda_grid(self.lambda_grid)))
+        if self.alpha0 is not None and not 0.0 < self.alpha0 < 1.0:
+            raise ConfigError(f"alpha0 must lie in (0, 1), got {self.alpha0}")
 
     @staticmethod
     def from_dict(doc: dict) -> "MethodSpec":
         try:
             pipeline = doc["pipeline"]
-            name = doc.get("name", pipeline)
-            classifier = (
-                ClassifierSpec.from_dict(doc["classifier"]) if "classifier" in doc else None
-            )
-            toolbox = Toolbox.from_list(doc["toolbox"]) if "toolbox" in doc else None
-            return MethodSpec(
-                name=name,
+            method = MethodSpec(
+                name=doc.get("name", pipeline),
                 pipeline=pipeline,
-                classifier=classifier,
-                weight_mode=doc.get("weight_mode", "structure"),
-                lam=config_number(doc, "lambda", 0.1),
-                bandwidth=config_number(doc, "bandwidth"),
+                classifier=(
+                    ClassifierSpec.from_dict(doc["classifier"]) if "classifier" in doc else None
+                ),
+                weight_cfg=WeightConfig(
+                    mode=doc.get("weight_mode", "structure"),
+                    lam=config_number(doc, "lambda", 0.1),
+                    bandwidth=config_number(doc, "bandwidth"),
+                ),
                 storey=config_flag(doc, "storey", True),
-                toolbox=toolbox,
-                lambda_grid=config_numbers(doc.get("lambda_grid", ()), "lambda_grid"),
+                toolbox=Toolbox.from_list(doc["toolbox"]) if "toolbox" in doc else None,
+                lambda_grid=doc.get("lambda_grid", DEFAULT_LAMBDA_GRID),
                 alpha0=config_number(doc, "alpha0"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad method spec: {exc}") from exc
+        check_keys(doc, ("name", "pipeline", *METHOD_KEYS[pipeline]), f"{pipeline} method")
+        return method
 
 
 @dataclass(frozen=True)
@@ -112,7 +130,9 @@ class MetricsRow:
     @staticmethod
     def from_dict(doc: dict) -> "MetricsRow":
         """Inverse of :meth:`to_dict`, for rows read back from ``metrics.json``."""
-        return MetricsRow(*(doc[column] for column in COLUMNS))
+        name, *stats, reps = (doc[column] for column in COLUMNS)
+        stats = (as_number(value, column) for value, column in zip(stats, COLUMNS[1:]))
+        return MetricsRow(name, *stats, as_number(reps, "reps", int))
 
 
 def _rejection_mask(rejection: RejectionSet, truth: np.ndarray) -> np.ndarray:
@@ -208,35 +228,40 @@ def attainment_config(m: int) -> SyntheticConfig:
 
 def run_method(
     method: MethodSpec,
-    table: ScoreTable,
+    data: Union[InferenceData, ScoreTable],
     alpha: float,
     coins: CoinStream,
     oracle_pi: Optional[np.ndarray] = None,
-) -> RejectionSet:
-    """Dispatch one method on the dataset of ``table``, sharing its fits."""
+    rng: Optional[np.random.Generator] = None,
+) -> tuple[Optional[SelectionTrace], Union[SCQResult, RejectionSet]]:
+    """Run one method on ``data``, sharing the fits of a :class:`ScoreTable`.
+
+    Returns the selection trace (``None`` unless the method selects) and
+    the result: an :class:`~scq.pipeline.SCQResult`, or the rejection set
+    of ``cfbh``.  ``oracle_pi`` holds the dataset's true signal
+    frequencies, which oracle weights need; ``rng`` jitters an ``scq``
+    run's p-values.
+    """
     if method.pipeline == "cfbh":
-        return run_cfbh(table, method.classifier, alpha, storey=method.storey)
+        return None, run_cfbh(data, method.classifier, alpha, storey=method.storey)
     if method.pipeline == "bc-unweighted":
-        return run_scq(table, method.classifier, WeightConfig(mode="unit"), alpha).rejection
-    wcfg = WeightConfig(
-        mode=method.weight_mode,
-        lam=method.lam,
-        bandwidth=method.bandwidth,
-        oracle_pi=oracle_pi if method.weight_mode == "oracle" else None,
-    )
+        return None, run_scq(data, method.classifier, WeightConfig(mode="unit"), alpha)
+    wcfg = method.weight_cfg
+    if wcfg.mode == "oracle":
+        # checked here, before any fit: a selector would count it as every candidate failing
+        if oracle_pi is None:
+            raise ConfigError("oracle weights need the true signal frequencies of simulated data")
+        wcfg = replace(wcfg, oracle_pi=oracle_pi)
     if method.pipeline == "scq":
-        return run_scq(table, method.classifier, wcfg, alpha).rejection
+        jitter = rng is not None
+        return None, run_scq(data, method.classifier, wcfg, alpha, jitter=jitter, rng=rng)
     if method.pipeline == "ptams":
-        _, result = ptams(
-            method.toolbox, table, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg
-        )
-        return result.rejection
-    _, _, result = ptams_plus(
-        method.toolbox, table, alpha, coins,
-        lambda_grid=method.lambda_grid or DEFAULT_LAMBDA_GRID,
-        alpha0=method.alpha0, weight_cfg=wcfg,
+        return ptams(method.toolbox, data, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg)
+    trace, _, result = ptams_plus(
+        method.toolbox, data, alpha, coins,
+        lambda_grid=method.lambda_grid, alpha0=method.alpha0, weight_cfg=wcfg,
     )
-    return result.rejection
+    return trace, result
 
 
 def _replicate_once(args):
@@ -251,7 +276,8 @@ def _replicate_once(args):
     out = []
     for method in methods:
         try:
-            rej = run_method(method, table, alpha, coins, oracle_pi=oracle_pi)
+            _, result = run_method(method, table, alpha, coins, oracle_pi=oracle_pi)
+            rej = result.rejection if isinstance(result, SCQResult) else result
             out.append(
                 (fdp(rej, test.truth), power(rej, test.truth), true_positives(rej, test.truth))
             )

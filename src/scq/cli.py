@@ -2,11 +2,16 @@
 
 Experiment definitions live in JSON configs; scalar flags (``--alpha``,
 ``--seed``, ``--out``, and for ``simulate`` also ``--reps`` and
-``--threads``) override config fields.  Standard output carries a one-line
-summary; all data goes to files whose bytes are fully determined by the
-inputs and the seed.  ``infer`` and ``select`` write ``weights.csv`` from
-the sparsity estimate their result carries, so the weights are computed
-once per run.  Exit codes: 0 success, 1 user or config error, 2
+``--threads``) override config fields.  An ``infer`` config is one
+``scq`` method and a ``select`` config one ``ptams`` method
+(``ptams_plus`` with ``--plus``); as in ``simulate``,
+:meth:`~scq.bench.MethodSpec.from_dict` reads it and
+:func:`~scq.bench.run_method` runs it, and an unread key is an error.
+Standard output carries a one-line summary; all data goes to files whose
+bytes are fully determined by the inputs and the seed.  ``infer`` and
+``select`` write ``weights.csv`` from the sparsity estimate their result
+carries, so the weights are computed once per run.  Exit codes: 0
+success, 1 user or config error, 2
 statistical or runtime failure (a degenerate fit, NaN scores, every
 selection candidate failing, too many failed replications).
 """
@@ -23,10 +28,9 @@ import numpy as np
 
 from . import bench
 from .datamodel import InferenceData, SyntheticConfig, load_csv, split_nulls
-from .errors import ConfigError, RuntimeFailure, ScqError, UsageError, config_flag, config_number
-from .modelselect import DEFAULT_LAMBDA_GRID, CoinStream, Toolbox, ptams, ptams_plus
-from .pipeline import SCQResult, WeightConfig, run_scq
-from .scoring import ClassifierSpec
+from .errors import ConfigError, RuntimeFailure, ScqError, check_keys, config_flag, config_number
+from .modelselect import CoinStream
+from .pipeline import SCQResult
 from .weights import dump_weight_diagnostics
 
 
@@ -104,29 +108,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _weight_config(cfg: dict) -> WeightConfig:
-    return WeightConfig(
-        mode=cfg.get("weight_mode", "structure"),
-        lam=config_number(cfg, "lambda", 0.1),
-        bandwidth=config_number(cfg, "bandwidth"),
-    )
-
-
-def cmd_infer(args) -> int:
+def cmd_run(args) -> int:
+    """``infer`` runs an ``scq`` method, ``select`` a ``ptams`` or ``ptams_plus`` one."""
     cfg = _load_config(args.config)
-    if "classifier" not in cfg:
-        raise ConfigError("infer config requires a 'classifier' section")
-    classifier = ClassifierSpec.from_dict(cfg["classifier"])
+    infer = args.command == "infer"
+    pipeline = "scq" if infer else "ptams_plus" if args.plus else "ptams"
+    keys = bench.METHOD_KEYS[pipeline]
+    run_keys = ("alpha", "seed", "out", "train_frac", *(("jitter",) if infer else ()))
+    check_keys(cfg, keys + run_keys, f"{args.command} config")
+    settings = {k: cfg[k] for k in keys if k in cfg}
+    method = bench.MethodSpec.from_dict({"pipeline": pipeline, **settings})
     alpha = _alpha_of(args, cfg)
     seed = _seed_of(args, cfg)
     data = _split_csv_data(args.data, seed, config_number(cfg, "train_frac", 0.5))
     jitter = config_flag(cfg, "jitter", False)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1])) if jitter else None
-    result = run_scq(data, classifier, _weight_config(cfg), alpha, jitter=jitter, rng=rng)
+    coin_seed = np.random.SeedSequence([seed, 2]).generate_state(1, dtype=np.uint64)[0]
+    trace, result = bench.run_method(method, data, alpha, CoinStream(int(coin_seed)), rng=rng)
     out = _out_dir(args, cfg)
+    summary = f"rejected {len(result.rejection)} of {data.m} test units"
+    if trace is not None:
+        _write_json(out / "trace.json", trace.to_dict())
+        chosen = method.toolbox.names[trace.selected - 1]
+        summary = f"chose {chosen} (candidate {trace.selected}), {summary}"
     _write_json(out / "report.json", result.report_dict())
     _dump_weights(out, data, result)
-    print(f"infer: rejected {len(result.rejection)} of {data.m} test units")
+    print(f"{args.command}: {summary}")
     return 0
 
 
@@ -135,41 +142,6 @@ def _dump_weights(out, data, result: SCQResult) -> None:
     if result.sparsity is None:
         return
     dump_weight_diagnostics(out / "weights.csv", data.test.side, result.sparsity, result.weights)
-
-
-def cmd_select(args) -> int:
-    cfg = _load_config(args.config)
-    if "toolbox" not in cfg:
-        raise ConfigError("select config requires a 'toolbox' list")
-    toolbox = Toolbox.from_list(cfg["toolbox"])
-    alpha = _alpha_of(args, cfg)
-    seed = _seed_of(args, cfg)
-    data = _split_csv_data(args.data, seed, config_number(cfg, "train_frac", 0.5))
-    coin_seed = int(
-        np.random.SeedSequence([seed, 2]).generate_state(1, dtype=np.uint64)[0]
-    )
-    coins = CoinStream(seed=coin_seed)
-    alpha0 = config_number(cfg, "alpha0")
-    wcfg = _weight_config(cfg)
-    if args.plus:
-        grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
-        trace, _, result = ptams_plus(
-            toolbox, data, alpha, coins, lambda_grid=grid, alpha0=alpha0, weight_cfg=wcfg
-        )
-    else:
-        trace, result = ptams(
-            toolbox, data, alpha, coins, alpha0=alpha0, weight_cfg=wcfg
-        )
-    out = _out_dir(args, cfg)
-    _write_json(out / "trace.json", trace.to_dict())
-    _write_json(out / "report.json", result.report_dict())
-    _dump_weights(out, data, result)
-    chosen = toolbox.names[trace.selected - 1]
-    print(
-        f"select: chose {chosen} (candidate {trace.selected}), "
-        f"rejected {len(result.rejection)} of {data.m} test units"
-    )
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -182,12 +154,12 @@ def cmd_report(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"corrupt artifact {path}: {exc}") from exc
-        if not isinstance(doc, dict) or "rows" not in doc:
-            continue
+            if not isinstance(doc, dict) or "rows" not in doc:
+                continue
+            rows = [bench.MetricsRow.from_dict(row) for row in doc["rows"]]
+        except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise ConfigError(f"corrupt artifact {path}: {exc!r}") from exc
         param_value = doc.get("param_value")
-        rows = [bench.MetricsRow.from_dict(row) for row in doc["rows"]]
         merged.extend(bench.long_rows(rows, param_value))
         for row in rows:
             summaries.setdefault(row.name, []).append((param_value, row))
@@ -235,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("infer", help="calibrated inference on a CSV dataset")
     sp.add_argument("data", help="CSV data file")
     add_common(sp)
-    sp.set_defaults(func=cmd_infer)
+    sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("select", help="model selection plus inference on a CSV dataset")
     sp.add_argument("data", help="CSV data file")
     sp.add_argument("--plus", action="store_true", help="also select the screening threshold")
     add_common(sp)
-    sp.set_defaults(func=cmd_select)
+    sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("report", help="merge simulation artifacts into one report")
     sp.add_argument("artifacts", help="directory holding metrics JSON files")
@@ -255,9 +227,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except RuntimeFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from .errors import (
     SchemaMismatch,
     UnreadableData,
     as_number,
+    check_keys,
     config_number,
     config_numbers,
 )
@@ -233,7 +234,7 @@ class SyntheticConfig:
     @staticmethod
     def from_dict(doc: dict) -> "SyntheticConfig":
         """Parse a ``synthetic`` config section; any other key is a ConfigError."""
-        _check_keys(doc, [f.name for f in fields(SyntheticConfig)], "synthetic config")
+        check_keys(doc, [f.name for f in fields(SyntheticConfig)], "synthetic config")
         try:
             return SyntheticConfig(
                 m=as_number(doc["m"], "m", int),
@@ -247,14 +248,6 @@ class SyntheticConfig:
             raise ConfigError(f"bad synthetic config: {exc}") from exc
 
 
-def _check_keys(doc, allowed, what: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s) {unknown}; allowed: {list(allowed)}")
-
-
 def _interval(doc: dict) -> tuple:
     bounds = config_numbers(doc["interval"], "interval", int)
     if len(bounds) != 2:
@@ -263,12 +256,12 @@ def _interval(doc: dict) -> tuple:
 
 
 def _block(doc) -> SparsityBlock:
-    _check_keys(doc, ("interval", "pi"), "sparsity block")
+    check_keys(doc, ("interval", "pi"), "sparsity block")
     return SparsityBlock(*_interval(doc), as_number(doc["pi"], "pi"))
 
 
 def _component(doc) -> AltComponent:
-    _check_keys(doc, ("interval", "mean", "scale"), "alternative component")
+    check_keys(doc, ("interval", "mean", "scale"), "alternative component")
     mean = doc["mean"]
     mean = config_numbers(mean, "mean") if isinstance(mean, list) else as_number(mean, "mean")
     return AltComponent(*_interval(doc), np.asarray(mean), config_number(doc, "scale", 1.0))

@@ -105,3 +105,12 @@ def config_flag(doc: dict, key: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
+
+
+def check_keys(doc, allowed, what: str) -> None:
+    """Raise a ConfigError unless ``doc`` is a JSON object holding only ``allowed`` keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown}; allowed: {list(allowed)}")

@@ -106,6 +106,14 @@ class CoinStream:
         return (_splitmix64(state) >> np.uint64(63)).astype(np.int8)
 
 
+def checked_lambda_grid(values) -> list:
+    """``values`` sorted, if they form a nonempty grid of thresholds in (0, 1)."""
+    grid = sorted(config_numbers(values, "lambda_grid"))
+    if not grid or any(not 0.0 < l < 1.0 for l in grid):
+        raise ConfigError(f"lambda_grid must be nonempty, with values in (0, 1), got {values!r}")
+    return grid
+
+
 def preliminary_partition(p: np.ndarray, p_tilde: np.ndarray, alpha0: float) -> RejectionSet:
     """BH on the pairwise-minimum p-values: a swap-invariant signal screen."""
     if not 0.0 < alpha0 < 1.0:
@@ -253,10 +261,7 @@ def ptams_plus(
     smallest threshold), and returns :func:`~scq.pipeline.run_scq` of the
     winning pair.  ``data`` may be a table, as for :func:`ptams`.
     """
-    grid = sorted(config_numbers(lambda_grid, "lambda_grid"))
-    if not grid or any(not 0.0 < l < 1.0 for l in grid):
-        raise ConfigError("lambda_grid must be nonempty, with values in (0, 1)")
-
+    grid = checked_lambda_grid(lambda_grid)
     table = ScoreTable.of(data)
     trace = _select_candidate(
         toolbox, table, alpha, coins, alpha0, replace(weight_cfg, lam=STAGE1_LAMBDA)

@@ -45,17 +45,6 @@ from .weights import (
 JITTER_SCALE = 1e6  # tie-breaking jitter is u / (JITTER_SCALE * (N + 1))
 
 
-def check_weight_setting(mode: str, lam: float, bandwidth: Optional[float]) -> None:
-    """Raise ConfigError unless ``mode``, ``lam`` and ``bandwidth`` form a
-    valid weight setting (the checks every :class:`WeightConfig` makes)."""
-    if mode not in ("structure", "oracle", "unit"):
-        raise ConfigError(f"unknown weight mode {mode!r}")
-    if not 0.0 < lam < 1.0:
-        raise ConfigError(f"lambda must lie in (0, 1), got {lam}")
-    if bandwidth is not None and not 0.0 < bandwidth < np.inf:
-        raise ConfigError(f"bandwidth must be positive and finite, got {bandwidth}")
-
-
 @dataclass(frozen=True)
 class WeightConfig:
     """How per-unit weights are produced.
@@ -64,7 +53,8 @@ class WeightConfig:
     the p-value pairs (screening threshold ``lam``); ``oracle`` applies the
     odds transform to known signal frequencies (``oracle_pi``); ``unit``
     uses constant weights, reducing the procedure to unweighted mirror
-    thresholding.
+    thresholding.  ``oracle_pi`` is data of one dataset, required only
+    where :func:`compute_weights` uses it.
     """
 
     mode: str = "structure"
@@ -73,9 +63,12 @@ class WeightConfig:
     oracle_pi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        check_weight_setting(self.mode, self.lam, self.bandwidth)
-        if self.mode == "oracle" and self.oracle_pi is None:
-            raise ConfigError("oracle weight mode requires oracle_pi")
+        if self.mode not in ("structure", "oracle", "unit"):
+            raise ConfigError(f"unknown weight mode {self.mode!r}")
+        if not 0.0 < self.lam < 1.0:
+            raise ConfigError(f"lambda must lie in (0, 1), got {self.lam}")
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise ConfigError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +129,8 @@ def compute_weights(
     if cfg.mode == "unit":
         return WeightVector(w=np.ones(m)), None
     if cfg.mode == "oracle":
+        if cfg.oracle_pi is None:
+            raise ConfigError("oracle weight mode requires oracle_pi")
         pi = np.asarray(cfg.oracle_pi, dtype=np.float64)
         if pi.shape[0] != m:
             raise ConfigError("oracle_pi length must equal m")

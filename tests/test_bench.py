@@ -1,11 +1,14 @@
 """Replication harness: metrics, pairing, determinism, failure handling."""
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import count_calls
 from scq import bench, modelselect, pipeline, scoring, weights
 from scq.bench import (
+    METHOD_KEYS,
     MethodSpec,
     MetricsRow,
     attainment_config,
@@ -26,6 +29,7 @@ from scq.conformal import RejectionSet
 from scq.datamodel import SyntheticConfig
 from scq.errors import ConfigError, TooManyFailures
 from scq.modelselect import Toolbox
+from scq.pipeline import WeightConfig
 from scq.scoring import ClassifierSpec
 
 GAUSS = ClassifierSpec("OCC", "gaussian")
@@ -87,7 +91,7 @@ class TestRunReplications:
             name="scq-oracle",
             pipeline="scq",
             classifier=ClassifierSpec("OCC", "gaussian"),
-            weight_mode="oracle",
+            weight_cfg=WeightConfig(mode="oracle"),
         )
         row = run_replications(oracle, tiny_config(), reps=5, master_seed=13)
         assert row.reps == 5
@@ -143,7 +147,9 @@ class TestSharedScoreTable:
                 pipeline="ptams_plus",
                 toolbox=Toolbox((ClassifierSpec("BIC", "knn"), KDE, GAUSS)),
             ),
-            MethodSpec(name="scq-kde", pipeline="scq", classifier=KDE, lam=0.3),
+            MethodSpec(
+                name="scq-kde", pipeline="scq", classifier=KDE, weight_cfg=WeightConfig(lam=0.3)
+            ),
         ]
         cfg = paper_synthetic_config(m=300, p=3, mu=2.0)
         rows = compare(methods, cfg, reps=4, master_seed=12, alpha=0.1)
@@ -192,9 +198,46 @@ class TestSharedScoreTable:
         assert len(calibrations) == 4
 
     def test_bad_weight_setting_fails_when_built(self):
-        for setting in ({"bandwidth": -1.0}, {"weight_mode": "structur"}, {"lam": 0.0}):
+        for setting in ({"bandwidth": -1.0}, {"mode": "structur"}, {"lam": 0.0}):
             with pytest.raises(ConfigError):
-                MethodSpec(name="scq", pipeline="scq", classifier=GAUSS, **setting)
+                MethodSpec(
+                    name="scq", pipeline="scq", classifier=GAUSS, weight_cfg=WeightConfig(**setting)
+                )
+
+
+class TestMethodKeys:
+    """METHOD_KEYS lists exactly the keys MethodSpec.from_dict reads."""
+
+    NON_DEFAULT = {
+        "classifier": KDE.to_dict(),
+        "toolbox": [KDE.to_dict()],
+        "weight_mode": "unit",
+        "lambda": 0.3,
+        "bandwidth": 0.5,
+        "storey": False,
+        "alpha0": 0.2,
+        "lambda_grid": [0.2],
+    }
+
+    @staticmethod
+    def base(pipeline):
+        needed = METHOD_KEYS[pipeline][0]
+        spec = GAUSS.to_dict()
+        return {"pipeline": pipeline, needed: spec if needed == "classifier" else [spec]}
+
+    @pytest.mark.parametrize("pipeline", sorted(METHOD_KEYS))
+    def test_no_listed_key_is_dead(self, pipeline):
+        base = self.base(pipeline)
+        default = MethodSpec.from_dict(base)
+        for key in METHOD_KEYS[pipeline]:
+            assert MethodSpec.from_dict({**base, key: self.NON_DEFAULT[key]}) != default, key
+
+    @pytest.mark.parametrize("pipeline", sorted(METHOD_KEYS))
+    def test_every_other_key_is_rejected(self, pipeline):
+        base = self.base(pipeline)
+        for key in sorted(set(self.NON_DEFAULT) - set(METHOD_KEYS[pipeline])) + ["lamda"]:
+            with pytest.raises(ConfigError, match=re.escape(f"[{key!r}]")):
+                MethodSpec.from_dict({**base, key: self.NON_DEFAULT.get(key, 0.3)})
 
 
 class TestConfigBuilders:

@@ -365,6 +365,24 @@ MISTYPED = {
     "infer-classifier-string": ("infer", [], {"classifier": "OCC/gaussian"}),
     "select-toolbox-entry-string": ("select", [], {"toolbox": [GAUSS, "OCC/kde"]}),
     "select-toolbox-object": ("select", ["--plus"], {"toolbox": {"OCC/gaussian": GAUSS}}),
+    # keys nothing reads: the error names the key (UNREAD)
+    "infer-lambda-typo": ("infer", [], {"classifier": GAUSS, "lamda": 0.3}),
+    "plus-lambda": ("select", ["--plus"], {"toolbox": [GAUSS], "lambda": 0.3}),
+    "select-lambda-grid": ("select", [], {"toolbox": [GAUSS], "lambda_grid": [0.1]}),
+    "select-jitter": ("select", [], {"toolbox": [GAUSS], "jitter": True}),
+    "simulate-scq-storey": (
+        "simulate", [], {"methods": [{"pipeline": "scq", "classifier": GAUSS, "storey": False}]}
+    ),
+    # only simulated data carries the true signal frequencies oracle weights need
+    "infer-oracle": ("infer", [], {"classifier": GAUSS, "weight_mode": "oracle"}),
+    "select-oracle": ("select", [], {"toolbox": [GAUSS], "weight_mode": "oracle"}),
+}
+UNREAD = {
+    "infer-lambda-typo": "lamda",
+    "plus-lambda": "lambda",
+    "select-lambda-grid": "lambda_grid",
+    "select-jitter": "jitter",
+    "simulate-scq-storey": "storey",
 }
 
 
@@ -382,17 +400,33 @@ def test_mistyped_config_value_exit_one(tmp_path, simulate_config, capsys, case)
     assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if case in UNREAD:
+        assert f"[{UNREAD[case]!r}]" in err
+
+
+SCQ_METHOD = {"name": "scq-gauss", "pipeline": "scq", "classifier": GAUSS}
+PTAMS_METHOD = {"name": "sel", "pipeline": "ptams", "toolbox": [GAUSS]}
+PLUS_METHOD = {"name": "plus", "pipeline": "ptams_plus", "toolbox": [GAUSS]}
 
 
 @pytest.mark.parametrize(
-    "setting", [{"bandwidth": -1}, {"weight_mode": "structur"}, {"lambda": 1.5}]
+    "setting",
+    [
+        {**SCQ_METHOD, "bandwidth": -1},
+        {**SCQ_METHOD, "weight_mode": "structur"},
+        {**SCQ_METHOD, "lambda": 1.5},
+        {**PLUS_METHOD, "lambda_grid": [1.5]},
+        {**PLUS_METHOD, "lambda_grid": []},
+        {**PLUS_METHOD, "alpha0": 1.5},
+        {**PTAMS_METHOD, "alpha0": 1.5},
+    ],
 )
 def test_bad_weight_setting_stops_before_any_replication(
     tmp_path, simulate_config, capsys, monkeypatch, setting
 ):
     fits = count_calls(monkeypatch, fit_score)
     doc = json.loads(simulate_config.read_text())
-    doc["methods"][0].update(setting)
+    doc["methods"] = [setting]
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
@@ -415,6 +449,24 @@ class TestReport:
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["report", str(empty)]) == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": [{"method": "x"}]},
+            {"rows": 5},
+            {"rows": [5]},
+            {"rows": [{"method": "x", "fdr": "low", "fdr_se": 0, "ap": 0, "ap_se": 0,
+                       "etp": 0, "etp_se": 0, "reps": 1}]},
+        ],
+    )
+    def test_malformed_metrics_exit_one(self, tmp_path, capsys, doc):
+        art = tmp_path / "art"
+        art.mkdir()
+        (art / "metrics.json").write_text(json.dumps(doc))
+        assert main(["report", str(art)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt artifact {art / 'metrics.json'}")
 
     def test_sweep_param_values(self, tmp_path, simulate_config):
         art = tmp_path / "art"

@@ -33,8 +33,9 @@ class TestWeightModes:
         np.testing.assert_allclose(res.weights.w, pi / (1 - pi))
 
     def test_oracle_needs_pi(self):
+        data = make_synthetic_data(m=50, p=2, mu=3.0, seed=1)
         with pytest.raises(ConfigError):
-            WeightConfig(mode="oracle")
+            run_scq(data, GAUSS, WeightConfig(mode="oracle"), alpha=0.1)
 
     def test_structure_is_default(self):
         assert WeightConfig().mode == "structure"

@@ -26,11 +26,13 @@ def test_python_blocks_run():
 
 
 def test_cli_configs_run(tmp_path):
-    simulate, infer = (json.loads(block) for block in blocks("json"))
-    assert "synthetic" in simulate and "classifier" in infer
+    simulate, infer, select = (json.loads(block) for block in blocks("json"))
+    assert "synthetic" in simulate and "classifier" in infer and "toolbox" in select
     sim_cfg, infer_cfg = tmp_path / "sim.json", tmp_path / "infer.json"
+    select_cfg = tmp_path / "select.json"
     sim_cfg.write_text(json.dumps(simulate))
     infer_cfg.write_text(json.dumps(infer))
+    select_cfg.write_text(json.dumps(select))
     argv = ["simulate", "--config", str(sim_cfg), "--reps", "2", "--threads", "1"]
     assert main(argv + ["--out", str(tmp_path / "sim")]) == 0
 
@@ -42,3 +44,6 @@ def test_cli_configs_run(tmp_path):
     save_csv(LabeledPool(inliers=rng.standard_normal((200, 3))), test, data)
     argv = ["infer", str(data), "--config", str(infer_cfg), "--out", str(tmp_path / "infer")]
     assert main(argv) == 0
+    for flags in ([], ["--plus"]):
+        argv = ["select", str(data), "--config", str(select_cfg), *flags]
+        assert main(argv + ["--out", str(tmp_path / "select")]) == 0
