@@ -3,6 +3,9 @@
 A :class:`MethodSpec` is a pipeline and the settings ``METHOD_KEYS``
 lists for it, checked when built; :func:`run_method`, the one dispatcher
 over pipelines, runs it here and for ``scq infer`` and ``scq select``.
+:func:`~scq.errors.read_config` reads a method section against
+``METHOD``, its classifier and toolbox entries against ``CLASSIFIER`` and
+``TOOLBOX_ENTRY``, and a ``metrics.json`` row against ``METRICS_ROW``.
 
 ``compare`` runs a list of methods over the same stream of synthetic
 datasets: replication ``r`` derives its generator from
@@ -23,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .conformal import RejectionSet
+from .conformal import RejectionSet, check_alpha
 from .datamodel import (
     AltComponent,
     InferenceData,
@@ -33,16 +36,29 @@ from .datamodel import (
     split_nulls,
     write_csv,
 )
-from .errors import (
-    ConfigError, ScqError, TooManyFailures, as_number, check_keys, config_flag, config_number
-)
+from .errors import REQUIRED, ConfigError, ScqError, TooManyFailures, read_config
 from .modelselect import (
     DEFAULT_LAMBDA_GRID, CoinStream, SelectionTrace, Toolbox, checked_lambda_grid, ptams, ptams_plus
 )
 from .pipeline import SCQResult, ScoreTable, WeightConfig, run_cfbh, run_scq
 from .scoring import ClassifierSpec
 
-# The config keys each pipeline reads besides "name" and "pipeline"; the
+# Every method config key, with its JSON kind and default
+METHOD = {
+    "name": (str, None),
+    "pipeline": (str, REQUIRED),
+    "classifier": (dict, None),
+    "toolbox": ([dict], None),
+    "weight_mode": (str, "structure"),
+    "lambda": (float, 0.1),
+    "bandwidth": (float, None),
+    "storey": (bool, True),
+    "lambda_grid": ([float], list(DEFAULT_LAMBDA_GRID)),
+    "alpha0": (float, None),
+}
+CLASSIFIER = {"family": (str, REQUIRED), "method": (str, REQUIRED), "hyperparams": (dict, {})}
+TOOLBOX_ENTRY = {**CLASSIFIER, "name": (str, None)}
+# The METHOD keys each pipeline reads besides "name" and "pipeline"; the
 # first is required.  MethodSpec.from_dict rejects any other key, and `scq
 # infer` and `scq select` take their method keys from this table.
 # bc-unweighted always uses unit weights, and ptams_plus chooses its own
@@ -60,6 +76,7 @@ FAILURE_CAP = 0.05
 METRICS = ("fdr", "ap", "etp")
 # metrics.csv columns and metrics.json keys, in MetricsRow field order
 COLUMNS = ("method", *(c for m in METRICS for c in (m, f"{m}_se")), "reps")
+METRICS_ROW = {c: ({"method": str, "reps": int}.get(c, float), REQUIRED) for c in COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -87,27 +104,28 @@ class MethodSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "MethodSpec":
-        try:
-            pipeline = doc["pipeline"]
-            method = MethodSpec(
-                name=doc.get("name", pipeline),
-                pipeline=pipeline,
-                classifier=(
-                    ClassifierSpec.from_dict(doc["classifier"]) if "classifier" in doc else None
-                ),
-                weight_cfg=WeightConfig(
-                    mode=doc.get("weight_mode", "structure"),
-                    lam=config_number(doc, "lambda", 0.1),
-                    bandwidth=config_number(doc, "bandwidth"),
-                ),
-                storey=config_flag(doc, "storey", True),
-                toolbox=Toolbox.from_list(doc["toolbox"]) if "toolbox" in doc else None,
-                lambda_grid=doc.get("lambda_grid", DEFAULT_LAMBDA_GRID),
-                alpha0=config_number(doc, "alpha0"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad method spec: {exc}") from exc
-        check_keys(doc, ("name", "pipeline", *METHOD_KEYS[pipeline]), f"{pipeline} method")
+        """Read a method section, which holds only its pipeline's ``METHOD_KEYS``."""
+        cfg = read_config(doc, METHOD, "method")
+        pipeline, classifier, toolbox = cfg["pipeline"], cfg["classifier"], cfg["toolbox"]
+        if toolbox is not None:
+            entries = [read_config(d, TOOLBOX_ENTRY, "toolbox entry") for d in toolbox]
+            names = [entry.pop("name") for entry in entries]
+            specs = tuple(ClassifierSpec(**entry) for entry in entries)
+            toolbox = Toolbox(specs, tuple(n or s.name for n, s in zip(names, specs)))
+        method = MethodSpec(
+            name=cfg["name"] or pipeline,
+            pipeline=pipeline,
+            classifier=None if classifier is None else ClassifierSpec(
+                **read_config(classifier, CLASSIFIER, "classifier")
+            ),
+            weight_cfg=WeightConfig(cfg["weight_mode"], cfg["lambda"], cfg["bandwidth"]),
+            storey=cfg["storey"],
+            toolbox=toolbox,
+            lambda_grid=cfg["lambda_grid"],
+            alpha0=cfg["alpha0"],
+        )
+        keys = ("name", "pipeline", *METHOD_KEYS[pipeline])
+        read_config(doc, {key: METHOD[key] for key in keys}, f"{pipeline} method")
         return method
 
 
@@ -130,9 +148,7 @@ class MetricsRow:
     @staticmethod
     def from_dict(doc: dict) -> "MetricsRow":
         """Inverse of :meth:`to_dict`, for rows read back from ``metrics.json``."""
-        name, *stats, reps = (doc[column] for column in COLUMNS)
-        stats = (as_number(value, column) for value, column in zip(stats, COLUMNS[1:]))
-        return MetricsRow(name, *stats, as_number(reps, "reps", int))
+        return MetricsRow(*read_config(doc, METRICS_ROW, "metrics row").values())
 
 
 def _rejection_mask(rejection: RejectionSet, truth: np.ndarray) -> np.ndarray:
@@ -242,6 +258,7 @@ def run_method(
     frequencies, which oracle weights need; ``rng`` jitters an ``scq``
     run's p-values.
     """
+    check_alpha(alpha)
     if method.pipeline == "cfbh":
         return None, run_cfbh(data, method.classifier, alpha, storey=method.storey)
     if method.pipeline == "bc-unweighted":
@@ -312,7 +329,8 @@ def replication_table(
     fail, the run aborts.
     """
     if reps < 1:
-        raise ConfigError("reps must be at least 1")
+        raise ConfigError(f"reps must be at least 1, got {reps}")
+    check_alpha(alpha)
     jobs = [(tuple(methods), cfg, alpha, train_frac, master_seed, r) for r in range(reps)]
     if threads > 1:
         # imported here so that runs without workers never load multiprocessing

@@ -1,19 +1,21 @@
 """Command-line interface: simulate, infer, select, report.
 
-Experiment definitions live in JSON configs; scalar flags (``--alpha``,
-``--seed``, ``--out``, and for ``simulate`` also ``--reps`` and
-``--threads``) override config fields.  An ``infer`` config is one
-``scq`` method and a ``select`` config one ``ptams`` method
-(``ptams_plus`` with ``--plus``); as in ``simulate``,
+Experiment definitions live in JSON configs.  ``_read_config`` opens
+one, reads its top level against the command's table (``SIMULATE``,
+``INFER`` or ``SELECT``, with a method's keys for the last two), and lets
+the scalar flags (``--alpha``, ``--seed``, ``--out``, and for
+``simulate`` also ``--reps`` and ``--threads``) override its fields.  An
+``infer`` config is one ``scq`` method and a ``select`` config one
+``ptams`` method (``ptams_plus`` with ``--plus``); as in ``simulate``,
 :meth:`~scq.bench.MethodSpec.from_dict` reads it and
-:func:`~scq.bench.run_method` runs it, and an unread key is an error.
-Standard output carries a one-line summary; all data goes to files whose
-bytes are fully determined by the inputs and the seed.  ``infer`` and
-``select`` write ``weights.csv`` from the sparsity estimate their result
-carries, so the weights are computed once per run.  Exit codes: 0
-success, 1 user or config error, 2
-statistical or runtime failure (a degenerate fit, NaN scores, every
-selection candidate failing, too many failed replications).
+:func:`~scq.bench.run_method` runs it.  Standard output carries a
+one-line summary; all data goes to files whose bytes are fully
+determined by the inputs and the seed.  ``infer`` and ``select`` write
+``weights.csv`` from the sparsity estimate their result carries, so the
+weights are computed once per run.  Exit codes: 0 success, 1 user or
+config error, 2 statistical or runtime failure (a degenerate fit, NaN
+scores, every selection candidate failing, too many failed
+replications).
 """
 
 from __future__ import annotations
@@ -28,34 +30,44 @@ import numpy as np
 
 from . import bench
 from .datamodel import InferenceData, SyntheticConfig, load_csv, split_nulls
-from .errors import ConfigError, RuntimeFailure, ScqError, check_keys, config_flag, config_number
+from .errors import REQUIRED, ConfigError, RuntimeFailure, ScqError, check_value, read_config
 from .modelselect import CoinStream
 from .pipeline import SCQResult
 from .weights import dump_weight_diagnostics
 
+# The top-level config keys of each command besides a method's, each with
+# its JSON kind and default; the scalar flags override the same keys.
+SELECT = {"alpha": (float, 0.05), "seed": (int, 0), "out": (str, None), "train_frac": (float, 0.5)}
+INFER = {**SELECT, "jitter": (bool, False)}
+SIMULATE = {
+    "synthetic": (dict, REQUIRED),
+    "methods": ([dict], REQUIRED),
+    **SELECT,
+    "reps": (int, 100),
+    "threads": (int, 0),
+    "param_value": ((float, str), None),
+}
+FLAGS = ("alpha", "seed", "out", "reps", "threads")
 
-def _load_config(path) -> dict:
-    if path is None:
+
+def _read_config(args, schema: dict) -> dict:
+    """The ``--config`` file read against ``schema``, with the scalar flags given merged in."""
+    if args.config is None:
         raise ConfigError("--config is required for this command")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        with open(args.config, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    cfg = read_config(doc, schema, f"{args.command} config")
+    flags = {key: getattr(args, key, None) for key in FLAGS}
+    return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
 
 
-def _alpha_of(args, cfg: dict) -> float:
-    alpha = args.alpha if args.alpha is not None else config_number(cfg, "alpha", 0.05)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
-
-
-def _out_dir(args, cfg: dict) -> Path:
-    out = args.out or cfg.get("out") or "scq-out"
-    path = Path(out)
+def _out_dir(cfg: dict) -> Path:
+    path = Path(cfg["out"] or "scq-out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -64,10 +76,6 @@ def _write_json(path: Path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _seed_of(args, cfg: dict) -> int:
-    return args.seed if args.seed is not None else config_number(cfg, "seed", 0, int)
 
 
 def _split_csv_data(data_path, seed: int, train_frac: float) -> InferenceData:
@@ -80,52 +88,37 @@ def _split_csv_data(data_path, seed: int, train_frac: float) -> InferenceData:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    if "synthetic" not in cfg:
-        raise ConfigError("simulate config requires a 'synthetic' section")
+    cfg = _read_config(args, SIMULATE)
     syn = SyntheticConfig.from_dict(cfg["synthetic"])
-    methods = [bench.MethodSpec.from_dict(d) for d in cfg.get("methods", [])]
+    methods = [bench.MethodSpec.from_dict(d) for d in cfg["methods"]]
     if not methods:
         raise ConfigError("simulate config requires a nonempty 'methods' list")
-    alpha = _alpha_of(args, cfg)
-    reps = args.reps if args.reps is not None else config_number(cfg, "reps", 100, int)
-    if reps < 1:
-        raise ConfigError(f"reps must be positive, got {reps}")
-    seed = _seed_of(args, cfg)
-    threads = args.threads if args.threads is not None else config_number(cfg, "threads", 0, int)
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    train_frac = config_number(cfg, "train_frac", 0.5)
-    out = _out_dir(args, cfg)
-
+    threads = cfg["threads"] if cfg["threads"] > 0 else os.cpu_count() or 1
+    out = _out_dir(cfg)
     rows = bench.compare(
-        methods, syn, reps, seed, alpha=alpha, train_frac=train_frac, threads=threads
+        methods, syn, cfg["reps"], cfg["seed"],
+        alpha=cfg["alpha"], train_frac=cfg["train_frac"], threads=threads,
     )
-    param_value = cfg.get("param_value")
     bench.rows_to_csv(rows, out / "metrics.csv")
-    bench.rows_to_json(rows, out / "metrics.json", param_value=param_value)
-    print(f"simulate: {len(rows)} methods x {reps} reps -> {out}")
+    bench.rows_to_json(rows, out / "metrics.json", param_value=cfg["param_value"])
+    print(f"simulate: {len(rows)} methods x {cfg['reps']} reps -> {out}")
     return 0
 
 
 def cmd_run(args) -> int:
     """``infer`` runs an ``scq`` method, ``select`` a ``ptams`` or ``ptams_plus`` one."""
-    cfg = _load_config(args.config)
     infer = args.command == "infer"
     pipeline = "scq" if infer else "ptams_plus" if args.plus else "ptams"
     keys = bench.METHOD_KEYS[pipeline]
-    run_keys = ("alpha", "seed", "out", "train_frac", *(("jitter",) if infer else ()))
-    check_keys(cfg, keys + run_keys, f"{args.command} config")
-    settings = {k: cfg[k] for k in keys if k in cfg}
-    method = bench.MethodSpec.from_dict({"pipeline": pipeline, **settings})
-    alpha = _alpha_of(args, cfg)
-    seed = _seed_of(args, cfg)
-    data = _split_csv_data(args.data, seed, config_number(cfg, "train_frac", 0.5))
-    jitter = config_flag(cfg, "jitter", False)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1])) if jitter else None
+    cfg = _read_config(args, {**{k: bench.METHOD[k] for k in keys}, **(INFER if infer else SELECT)})
+    method = bench.MethodSpec.from_dict({"pipeline": pipeline, **{k: cfg[k] for k in keys}})
+    seed = cfg["seed"]
+    data = _split_csv_data(args.data, seed, cfg["train_frac"])
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1])) if cfg.get("jitter") else None
     coin_seed = np.random.SeedSequence([seed, 2]).generate_state(1, dtype=np.uint64)[0]
-    trace, result = bench.run_method(method, data, alpha, CoinStream(int(coin_seed)), rng=rng)
-    out = _out_dir(args, cfg)
+    coins = CoinStream(int(coin_seed))
+    trace, result = bench.run_method(method, data, cfg["alpha"], coins, rng=rng)
+    out = _out_dir(cfg)
     summary = f"rejected {len(result.rejection)} of {data.m} test units"
     if trace is not None:
         _write_json(out / "trace.json", trace.to_dict())
@@ -156,8 +149,9 @@ def cmd_report(args) -> int:
                 doc = json.load(fh)
             if not isinstance(doc, dict) or "rows" not in doc:
                 continue
-            rows = [bench.MetricsRow.from_dict(row) for row in doc["rows"]]
-        except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+            rows = check_value(doc["rows"], [dict], "rows")
+            rows = [bench.MetricsRow.from_dict(row) for row in rows]
+        except (OSError, ValueError, ConfigError) as exc:
             raise ConfigError(f"corrupt artifact {path}: {exc!r}") from exc
         param_value = doc.get("param_value")
         merged.extend(bench.long_rows(rows, param_value))

@@ -153,14 +153,14 @@ def scq_qvalues(pairs: ScorePairs) -> np.ndarray:
     return q
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def scq_reject(q: np.ndarray, alpha: float) -> RejectionSet:
     """Units with q-value at or below the target level."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return RejectionSet(mask=np.asarray(q) <= alpha, alpha=alpha)
 
 
@@ -170,7 +170,7 @@ def bc_threshold(pairs: ScorePairs, alpha: float) -> tuple[Optional[float], Reje
     Returns ``(tau, rejections)``; ``tau`` is absent (and the rejection set
     empty) when no grid point qualifies.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     v, vt = pairs.v, pairs.vt
     grid, h = pairs._mirror_grid
     ok = np.flatnonzero(h <= alpha)
@@ -201,7 +201,7 @@ def ebh(e: np.ndarray, alpha: float) -> RejectionSet:
     ``khat = max{i : i * e_(i) / m >= 1 / alpha}`` over the descending order
     statistics; empty when no index qualifies.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     arr = np.asarray(e, dtype=np.float64)
     m = len(arr)
     desc = np.sort(arr)[::-1]
@@ -222,7 +222,7 @@ def _step_up(p: np.ndarray, level: float, alpha: float) -> RejectionSet:
 
 def bh(pvals: np.ndarray, alpha: float) -> RejectionSet:
     """Benjamini-Hochberg step-up at level ``alpha`` (1-based unit ids)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return _step_up(np.asarray(pvals, dtype=np.float64), alpha, alpha)
 
 
@@ -231,7 +231,7 @@ def storey_bh(pvals: np.ndarray, alpha: float, lambda_storey: float = 0.5) -> Re
 
     ``pi0_hat = (1 + #{p_j > lambda}) / (m (1 - lambda))``, capped at 1.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not 0.0 < lambda_storey < 1.0:
         raise ConfigError("lambda_storey must lie in (0, 1)")
     p = np.asarray(pvals, dtype=np.float64)

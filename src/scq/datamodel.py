@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    REQUIRED,
     ConfigError,
     InsufficientNulls,
     NonFiniteFeature,
@@ -25,10 +26,7 @@ from .errors import (
     ParseError,
     SchemaMismatch,
     UnreadableData,
-    as_number,
-    check_keys,
-    config_number,
-    config_numbers,
+    read_config,
 )
 
 ROLE_COLUMN = "__role__"
@@ -234,37 +232,35 @@ class SyntheticConfig:
     @staticmethod
     def from_dict(doc: dict) -> "SyntheticConfig":
         """Parse a ``synthetic`` config section; any other key is a ConfigError."""
-        check_keys(doc, [f.name for f in fields(SyntheticConfig)], "synthetic config")
-        try:
-            return SyntheticConfig(
-                m=as_number(doc["m"], "m", int),
-                p=as_number(doc["p"], "p", int),
-                sparsity_blocks=tuple(map(_block, doc.get("sparsity_blocks", []))),
-                background_pi=as_number(doc["background_pi"], "background_pi"),
-                alt_components=tuple(map(_component, doc.get("alt_components", []))),
-                null_pool_size=as_number(doc["null_pool_size"], "null_pool_size", int),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic config: {exc}") from exc
+        cfg = read_config(doc, SYNTHETIC, "synthetic config")
+        blocks = [read_config(d, _BLOCK, "sparsity block") for d in cfg["sparsity_blocks"]]
+        comps = [read_config(d, _COMPONENT, "alternative component") for d in cfg["alt_components"]]
+        cfg["sparsity_blocks"] = tuple(SparsityBlock(*_interval(b), b["pi"]) for b in blocks)
+        cfg["alt_components"] = tuple(
+            AltComponent(*_interval(c), c["mean"], c["scale"]) for c in comps
+        )
+        return SyntheticConfig(**cfg)
 
 
-def _interval(doc: dict) -> tuple:
-    bounds = config_numbers(doc["interval"], "interval", int)
-    if len(bounds) != 2:
-        raise ConfigError(f"interval must be [lo, hi], got {doc['interval']!r}")
-    return bounds
+# The keys of a synthetic config section and of its blocks and components
+SYNTHETIC = {
+    "m": (int, REQUIRED),
+    "p": (int, REQUIRED),
+    "sparsity_blocks": ([dict], []),
+    "background_pi": (float, REQUIRED),
+    "alt_components": ([dict], []),
+    "null_pool_size": (int, REQUIRED),
+}
+_BLOCK = {"interval": ([int], REQUIRED), "pi": (float, REQUIRED)}
+_COMPONENT = {
+    "interval": ([int], REQUIRED), "mean": ((float, [float]), REQUIRED), "scale": (float, 1.0)
+}
 
 
-def _block(doc) -> SparsityBlock:
-    check_keys(doc, ("interval", "pi"), "sparsity block")
-    return SparsityBlock(*_interval(doc), as_number(doc["pi"], "pi"))
-
-
-def _component(doc) -> AltComponent:
-    check_keys(doc, ("interval", "mean", "scale"), "alternative component")
-    mean = doc["mean"]
-    mean = config_numbers(mean, "mean") if isinstance(mean, list) else as_number(mean, "mean")
-    return AltComponent(*_interval(doc), np.asarray(mean), config_number(doc, "scale", 1.0))
+def _interval(section: dict) -> list:
+    if len(section["interval"]) != 2:
+        raise ConfigError(f"interval must be [lo, hi], got {section['interval']!r}")
+    return section["interval"]
 
 
 def split_nulls(
@@ -411,7 +407,12 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
         if any(s == "" for s in raw):
             raise ParseError("side column present but empty for some test rows")
         if all(_INT_RE.match(s) for s in raw):
-            side = SideInfo("group", np.array([int(s) for s in raw], dtype=np.int64))
+            try:
+                side = SideInfo("group", np.array([int(s) for s in raw], dtype=np.int64))
+            except OverflowError:
+                j = next(j for j, s in enumerate(raw) if not -(2**63) <= int(s) < 2**63)
+                r = [r for r, row in enumerate(rows, 2) if row[role_i].strip() == ROLE_TEST][j]
+                raise ParseError(f"row {r}: side value {raw[j]} does not fit in 64 bits") from None
         else:
             try:
                 side = SideInfo("position", np.array([float(s) for s in raw]))

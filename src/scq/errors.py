@@ -3,10 +3,13 @@
 Errors that indicate bad user input (configs, files, parameter ranges)
 derive from :class:`UsageError`; errors raised when a statistical run
 cannot proceed derive from :class:`RuntimeFailure`.  The CLI maps the
-former to exit code 1 and the latter to exit code 2.
+former to exit code 1 and the latter to exit code 2.  :func:`read_config`
+reads every JSON config section against its table of keys, kinds and
+defaults; the constructors the sections feed check the ranges.
 """
 
 import numbers
+import sys
 
 
 class ScqError(Exception):
@@ -77,40 +80,61 @@ class TooManyFailures(RuntimeFailure):
     """More than the tolerated fraction of replications failed."""
 
 
-def as_number(value, key: str, kind=float):
-    """``value`` as a ``kind`` (float, or int if integral), or a ConfigError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    if kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return kind(value)
+# JSON kinds of config values: a number, an integral number, a boolean, a
+# string, an object, [kind] for a list of one kind, and a tuple for any of
+# several kinds (whose values are kept as written; numbers become float or int)
+_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string", dict: "object"}
+REQUIRED = ...  # the default of a key a section must hold
 
 
-def config_number(doc: dict, key: str, default=None, kind=float):
-    """``doc[key]`` as a ``kind``, or ``default`` if absent; null only where ``default`` is."""
-    value = doc.get(key, default)
-    return None if value is None and default is None else as_number(value, key, kind)
+def _has_kind(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(_has_kind(value, k) for k in kind)
+    if kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return False
+        if isinstance(value, numbers.Integral):  # a JSON integer may lie beyond float64
+            return kind is int or abs(value) <= sys.float_info.max
+        return kind is float or float(value).is_integer()
+    return isinstance(value, kind)
 
 
-def config_numbers(values, key: str, kind=float) -> tuple:
-    """A list of numbers as a tuple of ``kind``, or a ConfigError naming ``key``."""
-    if isinstance(values, str) or not hasattr(values, "__iter__"):
-        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(as_number(v, key, kind) for v in values)
+def _describe(kind) -> str:
+    if isinstance(kind, list):
+        return f"list of {_NAMES[kind[0]]}s"
+    return " or ".join(map(_describe, kind)) if isinstance(kind, tuple) else _NAMES[kind]
 
 
-def config_flag(doc: dict, key: str, default: bool) -> bool:
-    """``doc[key]`` if it is a JSON boolean, ``default`` if absent, else a ConfigError."""
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+def check_value(value, kind, key: str):
+    """``value`` if it has JSON kind ``kind``, or a ConfigError naming ``key``."""
+    if not _has_kind(value, kind):
+        raise ConfigError(f"{key} must be a JSON {_describe(kind)}, got {value!r}")
+    if isinstance(kind, list):
+        return [check_value(v, kind[0], key) for v in value]
+    return kind(value) if kind in (int, float) else value
 
 
-def check_keys(doc, allowed, what: str) -> None:
-    """Raise a ConfigError unless ``doc`` is a JSON object holding only ``allowed`` keys."""
+def read_config(doc, schema: dict, where: str) -> dict:
+    """Read the config section ``doc`` against ``schema``, ``{key: (kind, default)}``.
+
+    The section must be a JSON object holding no key ``schema`` lacks and
+    every key whose default is ``REQUIRED``; each value must have its
+    key's kind, or be null where the default is.  Returns every key of
+    ``schema``, in its order, with defaults filled in.  A ConfigError names
+    ``where`` and the key.
+    """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(allowed))
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(schema))
     if unknown:
-        raise ConfigError(f"unknown {what} key(s) {unknown}; allowed: {list(allowed)}")
+        raise ConfigError(f"unknown {where} key(s) {unknown}; allowed: {list(schema)}")
+    out = {}
+    for key, (kind, default) in schema.items():
+        if key not in doc and default is REQUIRED:
+            raise ConfigError(f"{where} requires {key!r}")
+        value = doc.get(key, default)
+        null = value is None and default is None
+        out[key] = None if null else check_value(value, kind, f"{where} {key!r}")
+    return out

@@ -29,9 +29,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .conformal import RejectionSet, ScorePairs, bh
+from .conformal import RejectionSet, ScorePairs, bh, check_alpha
 from .datamodel import InferenceData
-from .errors import AllCandidatesFailed, ConfigError, ScqError, config_numbers
+from .errors import AllCandidatesFailed, ConfigError, ScqError
 from .pipeline import (
     CandidateScores,
     SCQResult,
@@ -41,7 +41,6 @@ from .pipeline import (
     run_scq,
     weighted_pairs,
 )
-from .scoring import ClassifierSpec
 
 DEFAULT_LAMBDA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 STAGE1_LAMBDA = 0.1
@@ -79,16 +78,6 @@ class Toolbox:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    @staticmethod
-    def from_list(docs: Sequence[dict]) -> "Toolbox":
-        if not isinstance(docs, (list, tuple)):
-            raise ConfigError(f"a toolbox must be a JSON list of classifier specs, got {docs!r}")
-        specs = tuple(ClassifierSpec.from_dict(d) for d in docs)
-        names = tuple(
-            d.get("name", spec.name) for d, spec in zip(docs, specs)
-        )
-        return Toolbox(candidates=specs, names=names)
-
 
 @dataclass(frozen=True)
 class CoinStream:
@@ -108,7 +97,7 @@ class CoinStream:
 
 def checked_lambda_grid(values) -> list:
     """``values`` sorted, if they form a nonempty grid of thresholds in (0, 1)."""
-    grid = sorted(config_numbers(values, "lambda_grid"))
+    grid = sorted(map(float, values))
     if not grid or any(not 0.0 < l < 1.0 for l in grid):
         raise ConfigError(f"lambda_grid must be nonempty, with values in (0, 1), got {values!r}")
     return grid
@@ -189,8 +178,7 @@ def _pseudo_rejection_count(
 
 def _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg) -> SelectionTrace:
     """Stage one of :func:`ptams`: score every candidate, pick the best."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     if alpha0 is None:
         alpha0 = 2.0 * alpha
     if not 0.0 < alpha0 < 1.0:

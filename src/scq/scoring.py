@@ -42,14 +42,17 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers, config_number
+from .errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers, read_config
 
-# family -> method -> the hyperparameters the method reads; "k" and
-# "iterations" are positive integers, "bandwidth" and "step" positive reals
+# family -> method -> the hyperparameters the method reads, each with its
+# JSON kind and default (None: chosen from the data); every one is positive
+_BANDWIDTH = {"bandwidth": (float, None)}
+_K = {"k": (int, None)}
+_DESCENT = {"iterations": (int, 500), "step": (float, 0.1)}
 FAMILIES = {
-    "OCC": {"gaussian": (), "kde": ("bandwidth",), "knn": ("k",)},
-    "BIC": {"logistic": ("iterations", "step"), "knn": ("k",)},
-    "PUC": {"kde-ratio": ("bandwidth",), "pu-logistic": ("iterations", "step")},
+    "OCC": {"gaussian": {}, "kde": _BANDWIDTH, "knn": _K},
+    "BIC": {"logistic": _DESCENT, "knn": _K},
+    "PUC": {"kde-ratio": _BANDWIDTH, "pu-logistic": _DESCENT},
 }
 
 LOG_DENSITY_FLOOR = -745.0  # log of the smallest positive double
@@ -74,34 +77,16 @@ class ClassifierSpec:
             raise ConfigError(
                 f"method {self.method!r} not supported for family {self.family!r}"
             )
-        if not isinstance(self.hyperparams, Mapping):
-            raise ConfigError(f"hyperparams must be a JSON object, got {self.hyperparams!r}")
-        object.__setattr__(self, "hyperparams", dict(self.hyperparams))
-        allowed = FAMILIES[self.family][self.method]
-        for key in self.hyperparams:
-            if key not in allowed:
-                raise ConfigError(f"{self.name} takes hyperparams {list(allowed)}, not {key!r}")
-            kind = int if key in ("k", "iterations") else float
-            value = config_number(self.hyperparams, key, kind=kind)
+        table = FAMILIES[self.family][self.method]
+        hyperparams = read_config(self.hyperparams, table, f"{self.name} hyperparams")
+        for key, value in hyperparams.items():
             if value is not None and not 0 < value < np.inf:
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
+        object.__setattr__(self, "hyperparams", hyperparams)
 
     @property
     def name(self) -> str:
         return f"{self.family}/{self.method}"
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ClassifierSpec":
-        if not isinstance(doc, Mapping):
-            raise ConfigError(f"a classifier spec must be a JSON object, got {doc!r}")
-        try:
-            return ClassifierSpec(
-                family=doc["family"],
-                method=doc["method"],
-                hyperparams=doc.get("hyperparams", {}),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"classifier spec missing field {exc}") from exc
 
     def to_dict(self) -> dict:
         return {"family": self.family, "method": self.method, "hyperparams": dict(self.hyperparams)}
@@ -402,36 +387,32 @@ def fit_score(spec: ClassifierSpec, ctx: TrainContext) -> ScoreModel:
         if spec.method == "gaussian":
             params = _fit_gaussian(train)
         elif spec.method == "kde":
-            params = _fit_kde(train, hp.get("bandwidth"))
+            params = _fit_kde(train, hp["bandwidth"])
         else:  # knn
-            params = {"k": _knn_k(hp.get("k"), train.shape[0]), **_reference(train)}
+            params = {"k": _knn_k(hp["k"], train.shape[0]), **_reference(train)}
     elif spec.family == "BIC":
         if ctx.labeled_outliers.shape[0] == 0:
             raise MissingOutliers("BIC fits require at least one labeled outlier")
         x = np.vstack([train, ctx.labeled_outliers])
         y = np.concatenate([np.zeros(train.shape[0]), np.ones(ctx.labeled_outliers.shape[0])])
         if spec.method == "logistic":
-            w, b = _logistic_gd(
-                x, y, int(hp.get("iterations", 500)), float(hp.get("step", 0.1))
-            )
+            w, b = _logistic_gd(x, y, hp["iterations"], hp["step"])
             params = {"w": w, "b": b}
         else:  # knn on labeled points
-            params = {"labels": y, "k": _knn_k(hp.get("k"), x.shape[0]), **_reference(x)}
+            params = {"labels": y, "k": _knn_k(hp["k"], x.shape[0]), **_reference(x)}
     else:  # PUC
         if ctx.transductive_pool is None or ctx.transductive_pool.shape[0] == 0:
             raise ConfigError("PUC fits require a nonempty transductive pool")
         pool = _canonical_sort(ctx.transductive_pool)
         if spec.method == "kde-ratio":
             params = {
-                "null_kde": _fit_kde(train, hp.get("bandwidth")),
-                "mix_kde": _fit_kde(pool, hp.get("bandwidth")),
+                "null_kde": _fit_kde(train, hp["bandwidth"]),
+                "mix_kde": _fit_kde(pool, hp["bandwidth"]),
             }
         else:  # pu-logistic: nulls are the positive class, pool is unlabeled
             x = np.vstack([train, pool])
             y = np.concatenate([np.ones(train.shape[0]), np.zeros(pool.shape[0])])
-            w, b = _logistic_gd(
-                x, y, int(hp.get("iterations", 500)), float(hp.get("step", 0.1))
-            )
+            w, b = _logistic_gd(x, y, hp["iterations"], hp["step"])
             params = {"w": w, "b": b}
 
     return ScoreModel(family=spec.family, method=spec.method, dim=p, params=params)

@@ -216,6 +216,19 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read data file {data}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exit_one(self, tmp_path, capsys, kind):
+        data, cfg = tmp_path / "signal.csv", tmp_path / "cfg.json"
+        write_signal_csv(data)
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "not-utf8":
+            cfg.write_bytes('{"classifier": "caf\u00e9"}'.encode("latin-1"))
+        rc = main(["infer", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfg}") and "Traceback" not in err
+
     def test_no_test_rows_exit_one(self, tmp_path, infer_config, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("__role__,f0\n" + "\n".join(["train-null,0.5"] * 5) + "\n")
@@ -376,6 +389,21 @@ MISTYPED = {
     # only simulated data carries the true signal frequencies oracle weights need
     "infer-oracle": ("infer", [], {"classifier": GAUSS, "weight_mode": "oracle"}),
     "select-oracle": ("select", [], {"toolbox": [GAUSS], "weight_mode": "oracle"}),
+    # every section is read against one table of keys and JSON kinds
+    "infer-hyperparam-typo": (
+        "infer", [], {"classifier": {"family": "OCC", "method": "kde", "hyperparam": {"bandwidth": 0.05}}}
+    ),
+    "simulate-rep-typo": ("simulate", [], {"rep": 2}),
+    "infer-out-number": ("infer", [], {"classifier": GAUSS, "out": 5}),
+    "simulate-config-number": ("simulate", [], 5),
+    "simulate-methods-number": ("simulate", [], {"methods": 5}),
+    "simulate-method-name-number": (
+        "simulate", [], {"methods": [{"name": 5, "pipeline": "scq", "classifier": GAUSS}]}
+    ),
+    "select-toolbox-name-number": ("select", [], {"toolbox": [{**GAUSS, "name": 5}]}),
+    "simulate-param-value-object": ("simulate", [], {"param_value": {"a": 1}}),
+    # a JSON integer too large for a float is not a number
+    "infer-lambda-beyond-float": ("infer", [], {"classifier": GAUSS, "lambda": 10**400}),
 }
 UNREAD = {
     "infer-lambda-typo": "lamda",
@@ -383,6 +411,17 @@ UNREAD = {
     "select-lambda-grid": "lambda_grid",
     "select-jitter": "jitter",
     "simulate-scq-storey": "storey",
+    "infer-hyperparam-typo": "hyperparam",
+    "simulate-rep-typo": "rep",
+}
+# the key a mistyped value's error names
+NAMED = {
+    "infer-out-number": "out",
+    "simulate-methods-number": "methods",
+    "simulate-method-name-number": "name",
+    "select-toolbox-name-number": "name",
+    "simulate-param-value-object": "param_value",
+    "infer-lambda-beyond-float": "lambda",
 }
 
 
@@ -390,7 +429,7 @@ UNREAD = {
 def test_mistyped_config_value_exit_one(tmp_path, simulate_config, capsys, case):
     command, flags, doc = MISTYPED[case]
     if command == "simulate":
-        doc = {**json.loads(simulate_config.read_text()), **doc}
+        doc = {**json.loads(simulate_config.read_text()), **doc} if isinstance(doc, dict) else doc
         argv = [command]
     else:
         write_signal_csv(tmp_path / "signal.csv")
@@ -402,6 +441,8 @@ def test_mistyped_config_value_exit_one(tmp_path, simulate_config, capsys, case)
     assert err.startswith("error:") and "Traceback" not in err
     if case in UNREAD:
         assert f"[{UNREAD[case]!r}]" in err
+    if case in NAMED:
+        assert repr(NAMED[case]) in err
 
 
 SCQ_METHOD = {"name": "scq-gauss", "pipeline": "scq", "classifier": GAUSS}

@@ -214,6 +214,16 @@ class TestCsv:
         with pytest.raises(ParseError, match="label"):
             load_csv(path)
 
+    @pytest.mark.parametrize("wide", ["99999999999999999999", "-9223372036854775809"])
+    def test_side_beyond_int64_names_first_row(self, tmp_path, wide):
+        # group labels are int64; the first test row outside that range is named
+        path = tmp_path / "wide.csv"
+        lines = ["__role__,__side__,f0", "train-null,,0.0", "test,-9223372036854775808,1.0"]
+        lines += ["train-null,,0.5", f"test,{wide},2.0", f"test,{wide}0,3.0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^row 5: side value {wide} does not fit"):
+            load_csv(path)
+
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(11)
         pool = LabeledPool(
