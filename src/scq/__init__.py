@@ -12,11 +12,9 @@ from .conformal import (
     bc_threshold,
     bh,
     build_pairs,
-    conformal_pvalue,
     conformal_pvalues,
     ebh,
     evalues,
-    mirror_stat,
     scq_qvalues,
     scq_reject,
     storey_bh,
@@ -48,9 +46,7 @@ from .scoring import (
     ScoreModel,
     TrainContext,
     fit_score,
-    score,
     score_batch,
-    verify_swap_invariance,
 )
 from .weights import (
     SparsityEstimate,

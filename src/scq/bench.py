@@ -20,8 +20,7 @@ bit-reproducible from the master seed regardless of worker scheduling.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -216,66 +215,38 @@ def paper_synthetic_config(
     )
 
 
-def attainment_config(m: int) -> SyntheticConfig:
-    """One-dimensional config whose signal strength grows with m.
-
-    Signal magnitude mu_m = sqrt(2 * 1.25 * (log m)^1.25) and block
-    frequency pi_m = m^(-0.1); four blocks of width ceil(m/30) start at
-    ceil(2m/30), ceil(6m/30) (frequency pi_m) and ceil(10m/30),
-    ceil(14m/30) (frequency 2/3 * pi_m), over a 0.01 background.
-    """
-    h = math.ceil(m / 30)
-    pi_m = m ** (-0.1)
-    mu_m = math.sqrt(2.0 * 1.25 * math.log(m) ** 1.25)
-    blocks = []
-    for numer, pi in ((2, pi_m), (6, pi_m), (10, 2.0 / 3.0 * pi_m), (14, 2.0 / 3.0 * pi_m)):
-        lo = math.ceil(numer * m / 30) + 1
-        hi = min(m, lo + h - 1)
-        blocks.append(SparsityBlock(lo, hi, pi))
-    return SyntheticConfig(
-        m=m,
-        p=1,
-        sparsity_blocks=tuple(blocks),
-        background_pi=0.01,
-        alt_components=(AltComponent(1, m, np.array([mu_m]), 1.0),),
-        null_pool_size=round(5 * m / 3),
-    )
-
-
 def run_method(
     method: MethodSpec,
     data: Union[InferenceData, ScoreTable],
     alpha: float,
     coins: CoinStream,
-    oracle_pi: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[Optional[SelectionTrace], Union[SCQResult, RejectionSet]]:
     """Run one method on ``data``, sharing the fits of a :class:`ScoreTable`.
 
     Returns the selection trace (``None`` unless the method selects) and
     the result: an :class:`~scq.pipeline.SCQResult`, or the rejection set
-    of ``cfbh``.  ``oracle_pi`` holds the dataset's true signal
-    frequencies, which oracle weights need; ``rng`` jitters an ``scq``
-    run's p-values.
+    of ``cfbh``.  Oracle weights read the true signal frequencies
+    ``TestSet.pi`` of simulated data; ``rng`` jitters an ``scq`` run's
+    p-values.
     """
     check_alpha(alpha)
-    if method.pipeline == "cfbh":
-        return None, run_cfbh(data, method.classifier, alpha, storey=method.storey)
-    if method.pipeline == "bc-unweighted":
-        return None, run_scq(data, method.classifier, WeightConfig(mode="unit"), alpha)
+    table = ScoreTable.of(data)
     wcfg = method.weight_cfg
-    if wcfg.mode == "oracle":
-        # checked here, before any fit: a selector would count it as every candidate failing
-        if oracle_pi is None:
-            raise ConfigError("oracle weights need the true signal frequencies of simulated data")
-        wcfg = replace(wcfg, oracle_pi=oracle_pi)
+    # checked here, before any fit: a selector would count it as every candidate failing
+    if wcfg.mode == "oracle" and table.data.test.pi is None:
+        raise ConfigError("oracle weights need the true signal frequencies of simulated data")
+    if method.pipeline == "cfbh":
+        return None, run_cfbh(table, method.classifier, alpha, storey=method.storey)
+    if method.pipeline == "bc-unweighted":
+        return None, run_scq(table, method.classifier, WeightConfig(mode="unit"), alpha)
     if method.pipeline == "scq":
         jitter = rng is not None
-        return None, run_scq(data, method.classifier, wcfg, alpha, jitter=jitter, rng=rng)
+        return None, run_scq(table, method.classifier, wcfg, alpha, jitter=jitter, rng=rng)
     if method.pipeline == "ptams":
-        return ptams(method.toolbox, data, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg)
+        return ptams(method.toolbox, table, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg)
     trace, _, result = ptams_plus(
-        method.toolbox, data, alpha, coins,
+        method.toolbox, table, alpha, coins,
         lambda_grid=method.lambda_grid, alpha0=method.alpha0, weight_cfg=wcfg,
     )
     return trace, result
@@ -289,11 +260,10 @@ def _replicate_once(args):
     split = split_nulls(pool, test.m, np.random.default_rng(split_ss), train_frac)
     table = ScoreTable(InferenceData(split=split, test=test))
     coins = CoinStream(seed=int(coin_ss.generate_state(1, dtype=np.uint64)[0]))
-    oracle_pi = cfg.pi_vector()
     out = []
     for method in methods:
         try:
-            _, result = run_method(method, table, alpha, coins, oracle_pi=oracle_pi)
+            _, result = run_method(method, table, alpha, coins)
             rej = result.rejection if isinstance(result, SCQResult) else result
             out.append(
                 (fdp(rej, test.truth), power(rej, test.truth), true_positives(rej, test.truth))
@@ -381,19 +351,6 @@ def compare(
         stats = (x for i in range(len(METRICS)) for x in _mean_se(good[:, i]))
         rows.append(MetricsRow(method.name, *stats, len(good)))
     return rows
-
-
-def run_replications(
-    method: MethodSpec,
-    cfg: SyntheticConfig,
-    reps: int,
-    master_seed: int,
-    alpha: float = 0.05,
-    train_frac: float = 0.5,
-    threads: int = 1,
-) -> MetricsRow:
-    """Single-method convenience wrapper around :func:`compare`."""
-    return compare([method], cfg, reps, master_seed, alpha, train_frac, threads)[0]
 
 
 def rows_to_csv(rows: Sequence[MetricsRow], path) -> None:

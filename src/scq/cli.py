@@ -51,7 +51,8 @@ FLAGS = ("alpha", "seed", "out", "reps", "threads")
 
 
 def _read_config(args, schema: dict) -> dict:
-    """The ``--config`` file read against ``schema``, with the scalar flags given merged in."""
+    """The ``--config`` file read against ``schema``, with the scalar flags
+    given merged in; the seed they settle on must be non-negative."""
     if args.config is None:
         raise ConfigError("--config is required for this command")
     try:
@@ -63,7 +64,10 @@ def _read_config(args, schema: dict) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = read_config(doc, schema, f"{args.command} config")
     flags = {key: getattr(args, key, None) for key in FLAGS}
-    return {**cfg, **{key: value for key, value in flags.items() if value is not None}}
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    if cfg["seed"] < 0:
+        raise ConfigError(f"{args.command} config 'seed' must be non-negative, got {cfg['seed']}")
+    return cfg
 
 
 def _out_dir(cfg: dict) -> Path:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -99,12 +99,6 @@ def conformal_pvalues(cal_scores: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(cal, s, side="right").astype(np.int64)
 
 
-def conformal_pvalue(cal_scores: Sequence[float], s_x: float) -> float:
-    """One conformal p-value: ``(1 + #{cal <= s_x}) / (1 + N)``."""
-    n_cal = np.size(cal_scores)
-    return int(conformal_pvalues(cal_scores, [s_x])[0]) / (n_cal + 1)
-
-
 def build_pairs(p: np.ndarray, p_tilde: np.ndarray, w: np.ndarray) -> ScorePairs:
     """Divide each (test, mirror) p-value pair by its unit weight."""
     p = np.asarray(p, dtype=np.float64)
@@ -120,16 +114,6 @@ def build_pairs(p: np.ndarray, p_tilde: np.ndarray, w: np.ndarray) -> ScorePairs
 def count_tied_pairs(pairs: ScorePairs) -> int:
     """Diagnostic: pairs with exactly equal coordinates contribute to neither side."""
     return int(np.count_nonzero(pairs.v == pairs.vt))
-
-
-def mirror_stat(pairs: ScorePairs, t: float) -> float:
-    """Evaluate the mirror process ``H(t)`` by direct counting."""
-    if t <= 0.0:
-        raise ConfigError("t must be positive")
-    v, vt = pairs.v, pairs.vt
-    num = 1 + int(np.count_nonzero((vt <= t) & (vt < v)))
-    den = max(1, int(np.count_nonzero((v <= t) & (v < vt))))
-    return num / den
 
 
 def scq_qvalues(pairs: ScorePairs) -> np.ndarray:

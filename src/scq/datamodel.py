@@ -120,24 +120,27 @@ class NullSplit:
 
 @dataclass(frozen=True)
 class TestSet:
-    """Unlabeled test units with side information and, in simulations, truth."""
+    """Unlabeled test units with side information and, in simulations, the
+    truth and the signal frequencies ``pi`` it was drawn with."""
 
     __test__ = False  # not a pytest class, despite the name
 
     features: np.ndarray
     side: SideInfo
     truth: Optional[np.ndarray] = None
+    pi: Optional[np.ndarray] = None
 
     def __post_init__(self):
         feats = _as_matrix(self.features)
         object.__setattr__(self, "features", feats)
         if len(self.side) != feats.shape[0]:
             raise ConfigError("side info length must equal the number of test units")
-        if self.truth is not None:
-            truth = np.asarray(self.truth, dtype=bool)
-            if truth.shape[0] != feats.shape[0]:
-                raise ConfigError("truth length must equal the number of test units")
-            object.__setattr__(self, "truth", truth)
+        for name, dtype in (("truth", bool), ("pi", np.float64)):
+            if getattr(self, name) is not None:
+                value = np.asarray(getattr(self, name), dtype=dtype)
+                if value.shape != (feats.shape[0],):
+                    raise ConfigError(f"{name} length must equal the number of test units")
+                object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -306,21 +309,22 @@ def generate_hierarchical(
     """Draw one benchmark instance from the hierarchical mixture model.
 
     Returns the i.i.d. standard-Gaussian null pool and a test set with
-    positional side information ``S_j = j`` and the realized truth labels.
+    positional side information ``S_j = j``, the realized truth labels and
+    the signal frequencies ``pi``.  Every index with ``pi > 0`` must lie in
+    an alternative component, whatever the generator would draw.
     """
     m, p = cfg.m, cfg.p
     pi = cfg.pi_vector()
-    y = rng.random(m) < pi
-    x = rng.standard_normal((m, p))
     # map each index to its alternative component; later components win
     comp_of = np.full(m, -1, dtype=np.int64)
     for ci, comp in enumerate(cfg.alt_components):
         comp_of[comp.lo - 1 : comp.hi] = ci
-    if np.any(y & (comp_of < 0)):
-        bad = int(np.flatnonzero(y & (comp_of < 0))[0]) + 1
-        raise ConfigError(
-            f"unit {bad} drew a signal but no alternative component covers it"
-        )
+    uncovered = np.flatnonzero((pi > 0) & (comp_of < 0))
+    if uncovered.size:
+        j = uncovered[0]
+        raise ConfigError(f"unit {j + 1} has pi {pi[j]} but no alternative component covers it")
+    y = rng.random(m) < pi
+    x = rng.standard_normal((m, p))
     for ci, comp in enumerate(cfg.alt_components):
         sel = y & (comp_of == ci)
         if np.any(sel):
@@ -328,7 +332,7 @@ def generate_hierarchical(
     nulls = rng.standard_normal((cfg.null_pool_size, p))
     pool = LabeledPool(inliers=nulls, outliers=np.empty((0, p)))
     side = SideInfo("position", np.arange(1, m + 1, dtype=np.float64))
-    return pool, TestSet(features=x, side=side, truth=y)
+    return pool, TestSet(features=x, side=side, truth=y, pi=pi)
 
 
 def _parse_feature(raw: str, row: int, col: str) -> float:

@@ -51,16 +51,15 @@ class WeightConfig:
 
     ``structure`` learns them from the side-information neighborhood of
     the p-value pairs (screening threshold ``lam``); ``oracle`` applies the
-    odds transform to known signal frequencies (``oracle_pi``); ``unit``
-    uses constant weights, reducing the procedure to unweighted mirror
-    thresholding.  ``oracle_pi`` is data of one dataset, required only
-    where :func:`compute_weights` uses it.
+    odds transform to the true signal frequencies ``TestSet.pi`` that
+    simulated data carry; ``unit`` uses constant weights, reducing the
+    procedure to unweighted mirror thresholding.  Equal settings compare
+    and hash equal, so a setting keys a :class:`ScoreTable` entry.
     """
 
     mode: str = "structure"
     lam: float = 0.1
     bandwidth: Optional[float] = None
-    oracle_pi: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.mode not in ("structure", "oracle", "unit"):
@@ -115,50 +114,32 @@ def _kde_half(model: ScoreModel, half: str) -> ScoreModel:
     return ScoreModel(family="OCC", method="kde", dim=model.dim, params=model.params[half])
 
 
-def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateScores:
-    """Fit one classifier and compute the (test, mirror) p-value numerators."""
-    return ScoreTable(data).scores(spec)
-
-
 def compute_weights(
     data: InferenceData, p: np.ndarray, p_tilde: np.ndarray, cfg: WeightConfig
 ) -> tuple[WeightVector, Optional[SparsityEstimate]]:
     """Per-unit weights for the configured mode, plus the sparsity estimate
     they come from (``None`` unless the weights are learned)."""
-    m = data.m
     if cfg.mode == "unit":
-        return WeightVector(w=np.ones(m)), None
+        return WeightVector(w=np.ones(data.m)), None
     if cfg.mode == "oracle":
-        if cfg.oracle_pi is None:
-            raise ConfigError("oracle weight mode requires oracle_pi")
-        pi = np.asarray(cfg.oracle_pi, dtype=np.float64)
-        if pi.shape[0] != m:
-            raise ConfigError("oracle_pi length must equal m")
-        return oracle_weights(pi), None
+        if data.test.pi is None:
+            raise ConfigError("oracle weights need the true signal frequencies of simulated data")
+        return oracle_weights(data.test.pi), None
     omega = weight_matrix(data.test.side, cfg.bandwidth)
     est = estimate_sparsity(omega, p, p_tilde, cfg.lam)
     return structure_weights(est), est
 
 
-def _memo(entries: list, key, make):
-    # keys are compared by ==: ClassifierSpec holds a dict and is unhashable
-    for k, value in entries:
-        if k == key:
-            return value
-    value = make()
-    entries.append((key, value))
-    return value
-
-
 class ScoreTable:
-    """The fits, p-value numerators, learned weights and runs of one dataset.
+    """The fits, scores, weights and runs of one dataset, keyed by setting.
 
-    Each classifier is fitted and scored once, and each (classifier,
-    screening threshold, bandwidth) gets one structure-weight estimate,
-    however many methods ask for them.  OCC/kde and PUC/kde-ratio at one
-    ``bandwidth`` hyperparameter share the train-null KDE density of each
-    batch, and :func:`run_scq` calibrates each (classifier, weight
-    setting, alpha) once.  A table belongs to one
+    Each classifier is fitted and scores the calibration, test and mirror
+    batches once, and each (classifier, weight setting) gets one weight
+    vector, however many methods ask for them.  OCC/kde and PUC/kde-ratio
+    at one ``bandwidth`` hyperparameter share the train-null KDE density
+    of each batch, and :func:`run_scq` calibrates each (classifier, weight
+    setting, alpha) once.  The entries live in one dict whose keys are the
+    settings themselves.  A table belongs to one
     :class:`~scq.datamodel.InferenceData` and lives as long as the caller
     keeps it: one replication in the bench, one run elsewhere.  A failed
     fit or estimate is not stored, so asking again raises again.
@@ -166,46 +147,49 @@ class ScoreTable:
 
     def __init__(self, data: InferenceData):
         self.data = data
-        self._models = []
-        self._null_kde = []
-        self._scores = []
-        self._weights = []
-        self._runs = []
+        self._entries = {}
 
     @staticmethod
     def of(data: Union[InferenceData, "ScoreTable"]) -> "ScoreTable":
         """``data`` itself if it is a table, else a new table over ``data``."""
         return data if isinstance(data, ScoreTable) else ScoreTable(data)
 
-    def model(self, spec: ClassifierSpec) -> ScoreModel:
-        return _memo(self._models, spec, lambda: _fit(self.data, spec))
+    def _cached(self, key: tuple, make):
+        if key not in self._entries:
+            self._entries[key] = make()
+        return self._entries[key]
 
-    def _batch_scores(self, spec: ClassifierSpec) -> list:
-        """Scores of the calibration, test and mirror batches.
+    def model(self, spec: ClassifierSpec) -> ScoreModel:
+        return self._cached(("model", spec), lambda: _fit(self.data, spec))
+
+    def batch_scores(self, spec: ClassifierSpec) -> tuple:
+        """Scores ``(cal, test, mirror)`` of the three batches under ``spec``.
 
         The train-null KDE is fitted on the same rows at the same bandwidth
         by OCC/kde and by PUC/kde-ratio, so its density of each batch is
         computed once per bandwidth; kde-ratio subtracts the mixture KDE from
         it, as ``score_batch`` does.
         """
-        model = self.model(spec)
-        batches = (self.data.split.cal, self.data.test.features, self.data.split.mirror)
-        if spec.method not in ("kde", "kde-ratio"):
-            return [score_batch(model, x) for x in batches]
-        null = model if spec.method == "kde" else _kde_half(model, "null_kde")
-        density = _memo(
-            self._null_kde,
-            spec.hyperparams.get("bandwidth"),
-            lambda: [score_batch(null, x) for x in batches],
-        )
-        if spec.method == "kde":
-            return density
-        mix = _kde_half(model, "mix_kde")
-        return [d - score_batch(mix, x) for d, x in zip(density, batches)]
+        def make():
+            model = self.model(spec)
+            batches = (self.data.split.cal, self.data.test.features, self.data.split.mirror)
+            if spec.method not in ("kde", "kde-ratio"):
+                return tuple(score_batch(model, x) for x in batches)
+            null = model if spec.method == "kde" else _kde_half(model, "null_kde")
+            density = self._cached(
+                ("null_kde", spec.hyperparams["bandwidth"]),
+                lambda: tuple(score_batch(null, x) for x in batches),
+            )
+            if spec.method == "kde":
+                return density
+            mix = _kde_half(model, "mix_kde")
+            return tuple(d - score_batch(mix, x) for d, x in zip(density, batches))
+
+        return self._cached(("batches", spec), make)
 
     def scores(self, spec: ClassifierSpec) -> CandidateScores:
         def make():
-            s_cal, s_test, s_mirror = self._batch_scores(spec)
+            s_cal, s_test, s_mirror = self.batch_scores(spec)
             return CandidateScores(
                 spec=spec,
                 num=conformal_pvalues(s_cal, s_test),
@@ -213,18 +197,16 @@ class ScoreTable:
                 n_cal=len(s_cal),
             )
 
-        return _memo(self._scores, spec, make)
+        return self._cached(("scores", spec), make)
 
     def weights(
         self, scores: CandidateScores, cfg: WeightConfig
     ) -> tuple[WeightVector, Optional[SparsityEstimate]]:
         """:func:`compute_weights` for ``scores``, which this table produced."""
-        def make():
-            return compute_weights(self.data, scores.p, scores.p_tilde, cfg)
-
-        if cfg.mode != "structure":
-            return make()
-        return _memo(self._weights, (scores.spec, cfg.lam, cfg.bandwidth), make)
+        return self._cached(
+            ("weights", scores.spec, cfg),
+            lambda: compute_weights(self.data, scores.p, scores.p_tilde, cfg),
+        )
 
 
 def weighted_pairs(
@@ -296,7 +278,7 @@ def run_scq(
     ``data`` may be a :class:`ScoreTable`, whose fits and weights the run
     then reuses; the table also keeps the result, so the same classifier,
     weight setting and ``alpha`` give the same result object again.  Runs
-    with jitter or oracle weights are not kept.
+    with jitter, whose ``rng`` is no setting, are not kept.
     """
     table = ScoreTable.of(data)
 
@@ -316,10 +298,9 @@ def run_scq(
             sparsity=est,
         )
 
-    if jitter or weight_cfg.mode == "oracle":
+    if jitter:
         return run()
-    key = (classifier, weight_cfg.mode, weight_cfg.lam, weight_cfg.bandwidth, alpha)
-    return _memo(table._runs, key, run)
+    return table._cached(("run", classifier, weight_cfg, alpha), run)
 
 
 def run_cfbh(
@@ -330,14 +311,11 @@ def run_cfbh(
 ) -> RejectionSet:
     """Conformal-BH baseline without mirror pairing.
 
-    The mirror block carries no structural role here, so it is merged into
-    the calibration set before ranking the test scores.  ``data`` may be a
-    :class:`ScoreTable`, whose fit the run reuses; the merged block is scored
-    afresh, as a score's last bits depend on its row's offset and batch size.
+    The mirror block carries no structural role here, so its scores join
+    the calibration scores in ranking the test scores.  ``data`` may be a
+    :class:`ScoreTable`, whose scores of the three batches the run reads.
     """
-    table = ScoreTable.of(data)
-    data = table.data
-    model = table.model(classifier)
-    s_cal = score_batch(model, np.vstack([data.split.cal, data.split.mirror]))
-    p = conformal_pvalues(s_cal, score_batch(model, data.test.features)) / (len(s_cal) + 1)
+    s_cal, s_test, s_mirror = ScoreTable.of(data).batch_scores(classifier)
+    s_null = np.concatenate([s_cal, s_mirror])
+    p = conformal_pvalues(s_null, s_test) / (len(s_null) + 1)
     return storey_bh(p, alpha) if storey else bh(p, alpha)

@@ -84,6 +84,10 @@ class ClassifierSpec:
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
         object.__setattr__(self, "hyperparams", hyperparams)
 
+    def __hash__(self) -> int:
+        # hyperparams holds every key of the method's table, in table order
+        return hash((self.family, self.method, tuple(self.hyperparams.items())))
+
     @property
     def name(self) -> str:
         return f"{self.family}/{self.method}"
@@ -447,28 +451,3 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
         return _kde_logpdf(params["null_kde"], x) - _kde_logpdf(params["mix_kde"], x)
     return _expit(x @ params["w"] + params["b"])
 
-
-def score(model: ScoreModel, x: np.ndarray) -> float:
-    """Score a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch("score expects a single feature vector")
-    return float(score_batch(model, x[None, :])[0])
-
-
-def verify_swap_invariance(
-    spec: ClassifierSpec,
-    ctx: TrainContext,
-    pairs_to_swap,
-    probe: np.ndarray,
-) -> bool:
-    """Refit after swapping the given (test, mirror) pairs and compare scores.
-
-    Exact equality is required for closed-form fits (gaussian, kde, knn);
-    iterative logistic fits are allowed 1e-12 relative slack.
-    """
-    base = score(fit_score(spec, ctx), np.asarray(probe, dtype=np.float64))
-    swapped = score(fit_score(spec, ctx.with_swapped_pairs(pairs_to_swap)), probe)
-    if spec.method in ("logistic", "pu-logistic"):
-        return bool(np.isclose(swapped, base, rtol=1e-12, atol=0.0))
-    return swapped == base

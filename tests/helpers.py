@@ -3,18 +3,117 @@
 The oracles re-derive every quantity by direct enumeration of the
 definitions, one unit and one grid point at a time, independent of the
 package's sorted-sweep implementations.  They read score pairs through
-the ``v`` and ``vt`` arrays of :class:`~scq.conformal.ScorePairs`.
+the ``v`` and ``vt`` arrays of :class:`~scq.conformal.ScorePairs`.  The
+one-unit conveniences below (one score, one p-value, one method's
+replications, the attainment config) are built on the package's batch
+functions and serve only the tests.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
-from scq.bench import paper_synthetic_config
-from scq.conformal import ScorePairs, mirror_stat
-from scq.datamodel import InferenceData, generate_hierarchical, split_nulls
+from scq.bench import MethodSpec, MetricsRow, compare, paper_synthetic_config
+from scq.conformal import ScorePairs, conformal_pvalues
+from scq.datamodel import (
+    AltComponent,
+    InferenceData,
+    SparsityBlock,
+    SyntheticConfig,
+    generate_hierarchical,
+    split_nulls,
+)
+from scq.errors import DimensionMismatch
+from scq.pipeline import CandidateScores, ScoreTable
+from scq.scoring import ClassifierSpec, ScoreModel, TrainContext, fit_score, score_batch
+
+
+def mirror_stat(pairs: ScorePairs, t: float) -> float:
+    """Evaluate the mirror process ``H(t)`` by direct counting."""
+    assert t > 0.0, "t must be positive"
+    v, vt = pairs.v, pairs.vt
+    num = 1 + int(np.count_nonzero((vt <= t) & (vt < v)))
+    den = max(1, int(np.count_nonzero((v <= t) & (v < vt))))
+    return num / den
+
+
+def conformal_pvalue(cal_scores, s_x: float) -> float:
+    """One conformal p-value: ``(1 + #{cal <= s_x}) / (1 + N)``."""
+    n_cal = np.size(cal_scores)
+    return int(conformal_pvalues(cal_scores, [s_x])[0]) / (n_cal + 1)
+
+
+def score(model: ScoreModel, x: np.ndarray) -> float:
+    """Score a single feature vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionMismatch("score expects a single feature vector")
+    return float(score_batch(model, x[None, :])[0])
+
+
+def verify_swap_invariance(
+    spec: ClassifierSpec,
+    ctx: TrainContext,
+    pairs_to_swap,
+    probe: np.ndarray,
+) -> bool:
+    """Refit after swapping the given (test, mirror) pairs and compare scores.
+
+    Exact equality is required for closed-form fits (gaussian, kde, knn);
+    iterative logistic fits are allowed 1e-12 relative slack.
+    """
+    base = score(fit_score(spec, ctx), np.asarray(probe, dtype=np.float64))
+    swapped = score(fit_score(spec, ctx.with_swapped_pairs(pairs_to_swap)), probe)
+    if spec.method in ("logistic", "pu-logistic"):
+        return bool(np.isclose(swapped, base, rtol=1e-12, atol=0.0))
+    return swapped == base
+
+
+def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateScores:
+    """Fit one classifier and compute the (test, mirror) p-value numerators."""
+    return ScoreTable(data).scores(spec)
+
+
+def run_replications(
+    method: MethodSpec,
+    cfg: SyntheticConfig,
+    reps: int,
+    master_seed: int,
+    alpha: float = 0.05,
+    train_frac: float = 0.5,
+    threads: int = 1,
+) -> MetricsRow:
+    """Single-method convenience wrapper around :func:`~scq.bench.compare`."""
+    return compare([method], cfg, reps, master_seed, alpha, train_frac, threads)[0]
+
+
+def attainment_config(m: int) -> SyntheticConfig:
+    """One-dimensional config whose signal strength grows with m.
+
+    Signal magnitude mu_m = sqrt(2 * 1.25 * (log m)^1.25) and block
+    frequency pi_m = m^(-0.1); four blocks of width ceil(m/30) start at
+    ceil(2m/30), ceil(6m/30) (frequency pi_m) and ceil(10m/30),
+    ceil(14m/30) (frequency 2/3 * pi_m), over a 0.01 background.
+    """
+    h = math.ceil(m / 30)
+    pi_m = m ** (-0.1)
+    mu_m = math.sqrt(2.0 * 1.25 * math.log(m) ** 1.25)
+    blocks = []
+    for numer, pi in ((2, pi_m), (6, pi_m), (10, 2.0 / 3.0 * pi_m), (14, 2.0 / 3.0 * pi_m)):
+        lo = math.ceil(numer * m / 30) + 1
+        hi = min(m, lo + h - 1)
+        blocks.append(SparsityBlock(lo, hi, pi))
+    return SyntheticConfig(
+        m=m,
+        p=1,
+        sparsity_blocks=tuple(blocks),
+        background_pi=0.01,
+        alt_components=(AltComponent(1, m, np.array([mu_m]), 1.0),),
+        null_pool_size=round(5 * m / 3),
+    )
 
 
 def qvalues_bruteforce(pairs: ScorePairs) -> list:
@@ -126,5 +225,5 @@ def swap_inference_pairs(data: InferenceData, pair_ids) -> InferenceData:
     from scq.datamodel import NullSplit, TestSet
 
     split = NullSplit(train=data.split.train, cal=data.split.cal, mirror=mirror)
-    test = TestSet(features=test_feats, side=data.test.side, truth=data.test.truth)
+    test = TestSet(features=test_feats, side=data.test.side, truth=data.test.truth, pi=data.test.pi)
     return InferenceData(split=split, test=test, labeled_outliers=data.labeled_outliers)

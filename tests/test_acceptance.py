@@ -15,18 +15,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import make_synthetic_data, random_pairs, swap_inference_pairs
-from scq.bench import (
-    MethodSpec,
+from helpers import (
     attainment_config,
-    paper_synthetic_config,
-    replication_table,
+    candidate_pvalues,
+    conformal_pvalue,
+    make_synthetic_data,
+    random_pairs,
     run_replications,
+    swap_inference_pairs,
 )
+from scq.bench import MethodSpec, paper_synthetic_config, replication_table
 from scq.cli import main as cli_main
 from scq.conformal import (
     bc_threshold,
-    conformal_pvalue,
     ebh,
     evalues,
     scq_qvalues,
@@ -35,7 +36,7 @@ from scq.conformal import (
 from scq.datamodel import InferenceData, SyntheticConfig, generate_hierarchical, split_nulls
 from scq.errors import ScqError
 from scq.modelselect import CoinStream, Toolbox, ptams
-from scq.pipeline import WeightConfig, candidate_pvalues, compute_weights, run_scq
+from scq.pipeline import WeightConfig, compute_weights, run_scq
 from scq.scoring import ClassifierSpec, fit_score, make_transductive_pool, TrainContext
 
 

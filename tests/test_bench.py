@@ -5,13 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from helpers import count_calls
+from helpers import attainment_config, count_calls, run_replications
 from scq import bench, modelselect, pipeline, scoring, weights
 from scq.bench import (
     METHOD_KEYS,
     MethodSpec,
     MetricsRow,
-    attainment_config,
     compare,
     fdp,
     long_rows,
@@ -20,7 +19,6 @@ from scq.bench import (
     replication_table,
     rows_to_csv,
     rows_to_json,
-    run_replications,
     true_positives,
     write_long_csv,
     _replicate_once,

@@ -125,6 +125,25 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_uncovered_signal_index_exit_one_at_every_seed(self, tmp_path, simulate_config, capsys):
+        # an index with pi > 0 and no component is an error before any draw,
+        # not only at the seeds whose draw puts a signal there
+        doc = json.loads(simulate_config.read_text())
+        doc["synthetic"] = {**SYNTHETIC, "m": 20, "sparsity_blocks": [], "alt_components": []}
+        cfg = tmp_path / "uncovered.json"
+        cfg.write_text(json.dumps({**doc, "reps": 1}))
+        for seed in range(10):
+            argv = ["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path / "out")]
+            assert main(argv) == 1
+            assert "no alternative component covers it" in capsys.readouterr().err
+
+    def test_null_only_config_runs(self, tmp_path, simulate_config):
+        doc = json.loads(simulate_config.read_text())
+        doc["synthetic"] = {"m": 20, "p": 2, "background_pi": 0.0, "null_pool_size": 60}
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_seed_reproducibility(self, tmp_path, simulate_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(simulate_config), "--out", str(out1), "--seed", "77"])
@@ -402,6 +421,10 @@ MISTYPED = {
     ),
     "select-toolbox-name-number": ("select", [], {"toolbox": [{**GAUSS, "name": 5}]}),
     "simulate-param-value-object": ("simulate", [], {"param_value": {"a": 1}}),
+    # a seed must be non-negative, whether a flag or a config key sets it
+    "infer-seed-flag-negative": ("infer", ["--seed", "-1"], {"classifier": GAUSS}),
+    "select-seed-negative": ("select", [], {"toolbox": [GAUSS], "seed": -1}),
+    "simulate-seed-negative": ("simulate", [], {"seed": -1}),
     # a JSON integer too large for a float is not a number
     "infer-lambda-beyond-float": ("infer", [], {"classifier": GAUSS, "lambda": 10**400}),
 }
@@ -422,6 +445,9 @@ NAMED = {
     "select-toolbox-name-number": "name",
     "simulate-param-value-object": "param_value",
     "infer-lambda-beyond-float": "lambda",
+    "infer-seed-flag-negative": "seed",
+    "select-seed-negative": "seed",
+    "simulate-seed-negative": "seed",
 }
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from helpers import (
     bc_bruteforce,
     bh_bruteforce,
+    conformal_pvalue,
     ebh_bruteforce,
+    mirror_stat,
     qvalues_bruteforce,
     random_pairs,
 )
@@ -17,12 +19,10 @@ from scq.conformal import (
     bc_threshold,
     bh,
     build_pairs,
-    conformal_pvalue,
     conformal_pvalues,
     count_tied_pairs,
     ebh,
     evalues,
-    mirror_stat,
     scq_qvalues,
     scq_reject,
     storey_bh,

@@ -140,6 +140,17 @@ class TestGenerateHierarchical:
         assert test.side.kind == "position"
         np.testing.assert_array_equal(test.side.values, np.arange(1, 101, dtype=float))
 
+    def test_test_set_carries_the_generating_pi(self):
+        cfg = small_config(sparsity_blocks=(SparsityBlock(1, 40, 0.7),), background_pi=0.2)
+        _, test = generate_hierarchical(cfg, np.random.default_rng(4))
+        np.testing.assert_array_equal(test.pi, cfg.pi_vector())
+
+    @pytest.mark.parametrize("n", [99, 101])
+    def test_pi_of_wrong_length_rejected(self, n):
+        side = SideInfo("position", np.arange(1, 101, dtype=float))
+        with pytest.raises(ConfigError, match="pi length"):
+            TestSet(features=np.zeros((100, 3)), side=side, pi=np.full(n, 0.1))
+
     def test_signal_without_component_rejected(self):
         cfg = small_config(alt_components=(AltComponent(1, 50, np.full(3, 1.0), 1.0),))
         with pytest.raises(ConfigError):

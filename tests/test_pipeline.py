@@ -1,19 +1,47 @@
 """End-to-end runs: weight modes, tie jitter, baselines, report payload."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from helpers import count_calls, make_synthetic_data
 from scq import scoring
 from scq.bench import paper_synthetic_config
-from scq.conformal import bh
+from scq.conformal import bh, conformal_pvalues, storey_bh
 from scq.errors import ConfigError
-from scq.pipeline import ScoreTable, WeightConfig, run_cfbh, run_scq
-from scq.scoring import ClassifierSpec
-from scq.weights import structure_weights
+from scq.pipeline import ScoreTable, WeightConfig, compute_weights, run_cfbh, run_scq
+from scq.scoring import ClassifierSpec, score_batch
+from scq.weights import oracle_weights, structure_weights
 
 GAUSS = ClassifierSpec("OCC", "gaussian")
 KDE = ClassifierSpec("OCC", "kde")
+KDE_RATIO = ClassifierSpec("PUC", "kde-ratio")
+
+
+class TestSettingsAreValues:
+    def test_equal_specs_compare_and_hash_equal(self):
+        equal = [
+            (ClassifierSpec("OCC", "kde", {"bandwidth": 1}), ClassifierSpec("OCC", "kde", {"bandwidth": 1.0})),
+            (KDE, ClassifierSpec("OCC", "kde", {"bandwidth": None})),
+            (
+                ClassifierSpec("BIC", "logistic"),
+                ClassifierSpec("BIC", "logistic", {"step": 0.1, "iterations": 500}),
+            ),
+        ]
+        for a, b in equal:
+            assert a == b and hash(a) == hash(b)
+        table = {spec: i for i, (spec, _) in enumerate(equal)}
+        assert [table[b] for _, b in equal] == [0, 1, 2]
+        assert KDE != ClassifierSpec("OCC", "kde", {"bandwidth": 1.0})
+        assert KDE != KDE_RATIO
+
+    def test_weight_settings_hold_no_data(self):
+        assert {f.name for f in fields(WeightConfig)} == {"mode", "lam", "bandwidth"}
+        oracle = WeightConfig(mode="oracle")
+        assert oracle == WeightConfig(mode="oracle") and hash(oracle) == hash(WeightConfig(mode="oracle"))
+        assert WeightConfig(bandwidth=2) == WeightConfig(bandwidth=2.0)
+        assert {(GAUSS, oracle): 1}[(ClassifierSpec("OCC", "gaussian"), WeightConfig(mode="oracle"))] == 1
 
 
 class TestWeightModes:
@@ -27,13 +55,21 @@ class TestWeightModes:
     def test_oracle_mode(self):
         cfg = paper_synthetic_config(m=50, p=2, mu=3.0)
         data = make_synthetic_data(m=50, p=2, mu=3.0, seed=1)
-        wcfg = WeightConfig(mode="oracle", oracle_pi=cfg.pi_vector())
-        res = run_scq(data, GAUSS, wcfg, alpha=0.1)
+        res = run_scq(data, GAUSS, WeightConfig(mode="oracle"), alpha=0.1)
         pi = cfg.pi_vector()
         np.testing.assert_allclose(res.weights.w, pi / (1 - pi))
 
+    def test_oracle_weights_are_those_of_the_generating_pi(self):
+        cfg = paper_synthetic_config(m=50, p=2, mu=3.0)
+        data = make_synthetic_data(m=50, p=2, mu=3.0, seed=1)
+        p = np.full(data.m, 0.5)
+        w, est = compute_weights(data, p, p, WeightConfig(mode="oracle"))
+        np.testing.assert_array_equal(w.w, oracle_weights(cfg.pi_vector()).w)
+        assert est is None
+
     def test_oracle_needs_pi(self):
         data = make_synthetic_data(m=50, p=2, mu=3.0, seed=1)
+        data = replace(data, test=replace(data.test, pi=None))
         with pytest.raises(ConfigError):
             run_scq(data, GAUSS, WeightConfig(mode="oracle"), alpha=0.1)
 
@@ -91,6 +127,23 @@ class TestCfbh:
         rej_bh = run_cfbh(data, GAUSS, alpha=0.1, storey=False)
         rej_st = run_cfbh(data, GAUSS, alpha=0.1, storey=True)
         assert np.all(rej_bh.mask <= rej_st.mask)
+
+    @pytest.mark.parametrize("spec", [GAUSS, KDE, KDE_RATIO], ids=lambda spec: spec.name)
+    def test_reads_the_table_scores(self, monkeypatch, spec):
+        # cfbh scores nothing itself, and ranking the cal and mirror scores of
+        # the table rejects what ranking one stacked scoring of them does
+        for seed in range(4):
+            table = ScoreTable(make_synthetic_data(m=80, p=2, mu=2.0, seed=20 + seed))
+            run_scq(table, spec, WeightConfig(), alpha=0.1)
+            calls = count_calls(monkeypatch, scoring.score_batch)
+            got = {storey: run_cfbh(table, spec, alpha=0.1, storey=storey) for storey in (True, False)}
+            assert calls == []
+            data, model = table.data, table.model(spec)
+            s_null = score_batch(model, np.vstack([data.split.cal, data.split.mirror]))
+            p = conformal_pvalues(s_null, score_batch(model, data.test.features)) / (len(s_null) + 1)
+            np.testing.assert_array_equal(got[True].mask, storey_bh(p, 0.1).mask)
+            np.testing.assert_array_equal(got[False].mask, bh(p, 0.1).mask)
+            monkeypatch.undo()
 
     def test_null_only_rarely_rejects(self):
         # pooled over seeds: false rejections stay near the target rate
@@ -151,13 +204,12 @@ class TestRunMemo:
         ):
             assert other is not run
 
-    def test_jitter_and_oracle_runs_are_not_kept(self):
-        cfg = paper_synthetic_config(m=60, p=2, mu=3.0)
+    def test_jitter_runs_are_not_kept_but_oracle_runs_are(self):
         table = ScoreTable(make_synthetic_data(m=60, p=2, mu=3.0, seed=11))
         unit = WeightConfig(mode="unit")
         rng = np.random.default_rng(0)
         a = run_scq(table, GAUSS, unit, alpha=0.1, jitter=True, rng=rng)
         b = run_scq(table, GAUSS, unit, alpha=0.1, jitter=True, rng=rng)
         assert a is not b and not np.array_equal(a.pairs.v, b.pairs.v)
-        oracle = WeightConfig(mode="oracle", oracle_pi=cfg.pi_vector())
-        assert run_scq(table, GAUSS, oracle, alpha=0.1) is not run_scq(table, GAUSS, oracle, alpha=0.1)
+        oracle = WeightConfig(mode="oracle")
+        assert run_scq(table, GAUSS, oracle, alpha=0.1) is run_scq(table, GAUSS, oracle, alpha=0.1)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from helpers import make_synthetic_data
+from helpers import make_synthetic_data, score, verify_swap_invariance
 from scq import scoring
 from scq.errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
 from scq.scoring import (
@@ -27,9 +27,7 @@ from scq.scoring import (
     _regularized_cholesky,
     fit_score,
     make_transductive_pool,
-    score,
     score_batch,
-    verify_swap_invariance,
 )
 
 

@@ -9,7 +9,8 @@ import importlib.util
 from pathlib import Path
 
 from helpers import make_synthetic_data
-from scq import modelselect
+from scq import bench, modelselect
+from scq.bench import MethodSpec, paper_synthetic_config
 from scq.modelselect import CoinStream, Toolbox
 from scq.scoring import ClassifierSpec
 
@@ -39,3 +40,27 @@ def test_traced_kde_selection_has_every_span_and_no_hook_error():
     # and the mixture KDE over the test + mirror + calibration pool once
     assert metrics["scoring.rows_scored"][0] == 2 * rows
     assert metrics["scoring.pair_evals"][0] == rows * n_train + rows * rows
+
+
+def test_traced_compare_scores_each_classifier_once_per_replication():
+    # every method reads the shared table's scores, so a method that scores a
+    # batch the table already scored raises the row count
+    tracer = load_tracer()
+    cfg = paper_synthetic_config(m=90, p=2, mu=3.0)
+    specs = (ClassifierSpec("OCC", "gaussian"), ClassifierSpec("OCC", "kde"))
+    methods = [
+        MethodSpec(name=f"{pipeline}-{spec.method}", pipeline=pipeline, classifier=spec)
+        for spec in specs
+        for pipeline in ("scq", "bc-unweighted", "cfbh")
+    ] + [MethodSpec(name="ptams", pipeline="ptams", toolbox=Toolbox(specs))]
+    reps = 2
+    with tracer.Tracer() as traced:
+        traced.solve = 0
+        rows = bench.compare(methods, cfg, reps, master_seed=5, alpha=0.1)
+    assert traced.absent == []
+    assert traced.hook_errors == 0
+    assert [row.reps for row in rows] == [reps] * len(methods)
+    metrics = tracer.layer_metrics(traced.spans, [0])
+    rest = cfg.null_pool_size - cfg.m
+    n_cal = rest - round(0.5 * rest)
+    assert metrics["scoring.rows_scored"][0] == reps * len(specs) * (n_cal + 2 * cfg.m)

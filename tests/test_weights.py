@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_synthetic_data
+from helpers import candidate_pvalues, make_synthetic_data
 from scq.datamodel import SideInfo
 from scq.errors import PiOutOfRange
-from scq.pipeline import WeightConfig, candidate_pvalues, compute_weights
+from scq.pipeline import WeightConfig, compute_weights
 from scq.scoring import ClassifierSpec
 from scq.weights import (
     EPS_PI,
