@@ -44,14 +44,12 @@ from .pipeline import SCQResult, ScoreTable, WeightConfig, run_cfbh, run_scq
 from .scoring import (
     ClassifierSpec,
     ScoreModel,
-    TrainContext,
     fit_score,
     score_batch,
 )
 from .weights import (
     SparsityEstimate,
     WeightMatrix,
-    WeightVector,
     estimate_sparsity,
     oracle_weights,
     structure_weights,

@@ -19,7 +19,6 @@ bit-reproducible from the master seed regardless of worker scheduling.
 
 from __future__ import annotations
 
-import json
 from dataclasses import astuple, dataclass
 from typing import Optional, Sequence, Union
 
@@ -355,15 +354,6 @@ def compare(
 
 def rows_to_csv(rows: Sequence[MetricsRow], path) -> None:
     write_csv(path, COLUMNS, map(astuple, rows))
-
-
-def rows_to_json(rows: Sequence[MetricsRow], path, param_value=None) -> None:
-    doc = {"rows": [row.to_dict() for row in rows]}
-    if param_value is not None:
-        doc["param_value"] = param_value
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def long_rows(rows: Sequence[MetricsRow], param_value=None) -> list[list]:

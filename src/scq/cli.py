@@ -104,7 +104,10 @@ def cmd_simulate(args) -> int:
         alpha=cfg["alpha"], train_frac=cfg["train_frac"], threads=threads,
     )
     bench.rows_to_csv(rows, out / "metrics.csv")
-    bench.rows_to_json(rows, out / "metrics.json", param_value=cfg["param_value"])
+    doc = {"rows": [row.to_dict() for row in rows]}
+    if cfg["param_value"] is not None:
+        doc["param_value"] = cfg["param_value"]
+    _write_json(out / "metrics.json", doc)
     print(f"simulate: {len(rows)} methods x {cfg['reps']} reps -> {out}")
     return 0
 

@@ -43,7 +43,9 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 def _as_matrix(rows, p: Optional[int] = None) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.float64)
     if arr.size == 0:
-        arr = arr.reshape(0, p if p is not None else 0)
+        # an empty (0, p) array keeps its width
+        width = arr.shape[1] if arr.ndim == 2 else 0
+        arr = arr.reshape(0, p if p is not None else width)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if not np.all(np.isfinite(arr)):
@@ -57,7 +59,8 @@ class SideInfo:
 
     The variant is uniform across a test set: ``kind`` is ``"group"`` for
     integer category labels and ``"position"`` for real-valued locations
-    (indices, timestamps), which must be finite.
+    (indices, timestamps).  ``values`` must be a 1-d array of numbers;
+    positions must be finite and group labels integral and within int64.
     """
 
     kind: str
@@ -66,12 +69,26 @@ class SideInfo:
     def __post_init__(self):
         if self.kind not in ("group", "position"):
             raise ConfigError(f"unknown side-info kind {self.kind!r}")
-        dtype = np.int64 if self.kind == "group" else np.float64
-        values = np.asarray(self.values, dtype=dtype)
+        values = np.asarray(self.values)
+        if values.ndim != 1 or values.dtype.kind not in "iuf":
+            raise ConfigError(
+                f"{self.kind} side info must be a 1-d array of numbers, "
+                f"got {values.dtype} values of shape {values.shape}"
+            )
+        if self.kind == "group" and values.dtype.kind != "i":
+            # NaN fails every comparison
+            fits = (values == np.floor(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+            bad = np.flatnonzero(~fits)
+            if bad.size:
+                raise ConfigError(
+                    "group labels must be integers within int64: "
+                    f"unit {bad[0] + 1} is {values[bad[0]]}"
+                )
+        values = values.astype(np.int64 if self.kind == "group" else np.float64, copy=False)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise NonFiniteSideInfo(
-                f"positional side info must be finite: unit {bad[0] + 1} is {float(values[bad[0]])}"
+                f"positional side info must be finite: unit {bad[0] + 1} is {values[bad[0]]}"
             )
         object.__setattr__(self, "values", values)
 
@@ -400,8 +417,8 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
 
     p = len(feat_is)
     pool = LabeledPool(
-        inliers=_as_matrix(inliers, p=p) if inliers else np.empty((0, p)),
-        outliers=_as_matrix(outliers, p=p) if outliers else np.empty((0, p)),
+        inliers=_as_matrix(inliers, p=p),
+        outliers=_as_matrix(outliers, p=p),
     )
     m = len(test_rows)
     if side_i is None or all(s is None for s in test_sides):
@@ -426,7 +443,7 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
     if m and all(lab is not None for lab in test_labels):
         truth = np.array(test_labels, dtype=bool)
     test = TestSet(
-        features=_as_matrix(test_rows, p=p) if test_rows else np.empty((0, p)),
+        features=_as_matrix(test_rows, p=p),
         side=side,
         truth=truth,
     )

@@ -4,11 +4,13 @@ This is the glue the selection harness, the replication bench, and the
 CLI all share.  A run takes an :class:`~scq.datamodel.InferenceData`
 bundle, fits one classifier, converts calibration ranks into p-value
 pairs, learns weights, and thresholds the weighted pairs by mirror
-calibration.  Baseline runs (unweighted thresholding, plain/Storey BH on
-conformal p-values) live here too.  Runs on one dataset can share a
-:class:`ScoreTable`, so methods that use the same classifier fit and
-score it once: every entry point takes the data or a table over it.  The
-weight matrix's kind follows the side-info kind.
+calibration.  A PUC classifier fits on the test + mirror + calibration
+pool, which :meth:`ScoreTable.model` alone stacks.  Weights are float64
+arrays, one entry per unit.  Baseline runs (unweighted thresholding,
+plain/Storey BH on conformal p-values) live here too.  Runs on one
+dataset can share a :class:`ScoreTable`, so methods that use the same
+classifier fit and score it once: every entry point takes the data or a
+table over it.  The weight matrix's kind follows the side-info kind.
 """
 
 from __future__ import annotations
@@ -32,14 +34,9 @@ from .conformal import (
 )
 from .datamodel import InferenceData
 from .errors import ConfigError
-from .scoring import ClassifierSpec, ScoreModel, TrainContext, fit_score, make_transductive_pool, score_batch
+from .scoring import ClassifierSpec, ScoreModel, fit_score, score_batch
 from .weights import (
-    SparsityEstimate,
-    WeightVector,
-    estimate_sparsity,
-    oracle_weights,
-    structure_weights,
-    weight_matrix,
+    SparsityEstimate, estimate_sparsity, oracle_weights, structure_weights, weight_matrix
 )
 
 JITTER_SCALE = 1e6  # tie-breaking jitter is u / (JITTER_SCALE * (N + 1))
@@ -92,23 +89,6 @@ class CandidateScores:
         return self.num_tilde / (self.n_cal + 1)
 
 
-def _fit(data: InferenceData, spec: ClassifierSpec) -> ScoreModel:
-    """Fit one classifier; PUC fits see the test + mirror + calibration pool."""
-    if spec.family == "PUC":
-        pool, n_pairs = make_transductive_pool(
-            data.test.features, data.split.mirror, data.split.cal
-        )
-    else:
-        pool, n_pairs = None, 0
-    ctx = TrainContext(
-        train_nulls=data.split.train,
-        labeled_outliers=data.labeled_outliers,
-        transductive_pool=pool,
-        n_pairs=n_pairs,
-    )
-    return fit_score(spec, ctx)
-
-
 def _kde_half(model: ScoreModel, half: str) -> ScoreModel:
     """One of the two KDEs of a PUC/kde-ratio model, as an OCC/kde model."""
     return ScoreModel(family="OCC", method="kde", dim=model.dim, params=model.params[half])
@@ -116,11 +96,11 @@ def _kde_half(model: ScoreModel, half: str) -> ScoreModel:
 
 def compute_weights(
     data: InferenceData, p: np.ndarray, p_tilde: np.ndarray, cfg: WeightConfig
-) -> tuple[WeightVector, Optional[SparsityEstimate]]:
-    """Per-unit weights for the configured mode, plus the sparsity estimate
-    they come from (``None`` unless the weights are learned)."""
+) -> tuple[np.ndarray, Optional[SparsityEstimate]]:
+    """Per-unit float64 weights for the configured mode, plus the sparsity
+    estimate they come from (``None`` unless the weights are learned)."""
     if cfg.mode == "unit":
-        return WeightVector(w=np.ones(data.m)), None
+        return np.ones(data.m), None
     if cfg.mode == "oracle":
         if data.test.pi is None:
             raise ConfigError("oracle weights need the true signal frequencies of simulated data")
@@ -160,7 +140,16 @@ class ScoreTable:
         return self._entries[key]
 
     def model(self, spec: ClassifierSpec) -> ScoreModel:
-        return self._cached(("model", spec), lambda: _fit(self.data, spec))
+        """The fit of ``spec``; the one place that stacks a PUC fit's pool
+        of test, mirror and calibration rows."""
+        def make():
+            data = self.data
+            pool = None
+            if spec.family == "PUC":
+                pool = np.vstack([data.test.features, data.split.mirror, data.split.cal])
+            return fit_score(spec, data.split.train, data.labeled_outliers, pool)
+
+        return self._cached(("model", spec), make)
 
     def batch_scores(self, spec: ClassifierSpec) -> tuple:
         """Scores ``(cal, test, mirror)`` of the three batches under ``spec``.
@@ -201,7 +190,7 @@ class ScoreTable:
 
     def weights(
         self, scores: CandidateScores, cfg: WeightConfig
-    ) -> tuple[WeightVector, Optional[SparsityEstimate]]:
+    ) -> tuple[np.ndarray, Optional[SparsityEstimate]]:
         """:func:`compute_weights` for ``scores``, which this table produced."""
         return self._cached(
             ("weights", scores.spec, cfg),
@@ -211,7 +200,7 @@ class ScoreTable:
 
 def weighted_pairs(
     scores: CandidateScores,
-    w: WeightVector,
+    w: np.ndarray,
     jitter: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> ScorePairs:
@@ -228,22 +217,22 @@ def weighted_pairs(
         step = 1.0 / (JITTER_SCALE * (scores.n_cal + 1))
         p = p + rng.random(len(p)) * step
         p_tilde = p_tilde + rng.random(len(p_tilde)) * step
-    return build_pairs(p, p_tilde, w.w)
+    return build_pairs(p, p_tilde, w)
 
 
 @dataclass(frozen=True)
 class SCQResult:
     """Everything one calibrated run produces.
 
-    ``sparsity`` is the estimate the learned weights were built from, or
-    ``None`` for unit and oracle weights.
+    ``weights`` holds the per-unit weights and ``sparsity`` the estimate
+    learned weights were built from (``None`` for unit and oracle weights).
     """
 
     rejection: RejectionSet
     qvalues: np.ndarray
     tau: Optional[float]
     pairs: ScorePairs
-    weights: WeightVector
+    weights: np.ndarray
     scores: CandidateScores
     num_tied_pairs: int
     sparsity: Optional[SparsityEstimate] = None

@@ -6,10 +6,10 @@ structural contracts hold by construction:
 
 * one-class and binary fits depend only on the training nulls (and labeled
   outliers), never on test, mirror, or calibration data;
-* positive-unlabeled fits consume the transductive pool only through its
+* positive-unlabeled fits consume the transductive pool, which
+  :meth:`~scq.pipeline.ScoreTable.model` stacks, only through its
   canonically sorted multiset, so refitting after any permutation, or any
-  swap of (test, mirror) pairs inside the pool, reproduces the model
-  bit for bit.
+  swap of (test, mirror) pairs, reproduces the model bit for bit.
 
 Fits are deterministic: closed-form moments, fixed bandwidth rules, and
 fixed-iteration full-batch gradient descent with zero initialization.
@@ -94,62 +94,6 @@ class ClassifierSpec:
 
     def to_dict(self) -> dict:
         return {"family": self.family, "method": self.method, "hyperparams": dict(self.hyperparams)}
-
-
-@dataclass(frozen=True)
-class TrainContext:
-    """Training inputs for a score fit.
-
-    ``transductive_pool`` is the multiset test + mirror + calibration
-    (used only by PUC methods); its first ``2 * n_pairs`` rows are the test
-    block followed by the mirror block, so pair ``j`` (1-based) occupies
-    rows ``j - 1`` and ``n_pairs + j - 1``.
-    """
-
-    train_nulls: np.ndarray
-    labeled_outliers: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    transductive_pool: Optional[np.ndarray] = None
-    n_pairs: int = 0
-
-    def __post_init__(self):
-        tn = np.asarray(self.train_nulls, dtype=np.float64)
-        object.__setattr__(self, "train_nulls", tn)
-        lo = np.asarray(self.labeled_outliers, dtype=np.float64)
-        if lo.size == 0:
-            lo = lo.reshape(0, tn.shape[1] if tn.ndim == 2 else 0)
-        object.__setattr__(self, "labeled_outliers", lo)
-        if self.transductive_pool is not None:
-            object.__setattr__(
-                self, "transductive_pool", np.asarray(self.transductive_pool, dtype=np.float64)
-            )
-
-    def with_swapped_pairs(self, pair_ids) -> "TrainContext":
-        """Return a copy with (test, mirror) rows exchanged for the given 1-based pair ids."""
-        if self.transductive_pool is None:
-            return self
-        ids = np.fromiter(pair_ids, dtype=np.int64)
-        bad = ids[(ids < 1) | (ids > self.n_pairs)]
-        if bad.size:
-            raise ConfigError(f"pair id {bad[0]} outside the paired region 1..{self.n_pairs}")
-        if np.unique(ids).size != ids.size:
-            raise ConfigError("pair ids to swap must be distinct")
-        a = ids - 1
-        b = a + self.n_pairs
-        pool = self.transductive_pool.copy()
-        pool[np.concatenate([a, b])] = self.transductive_pool[np.concatenate([b, a])]
-        return TrainContext(
-            train_nulls=self.train_nulls,
-            labeled_outliers=self.labeled_outliers,
-            transductive_pool=pool,
-            n_pairs=self.n_pairs,
-        )
-
-
-def make_transductive_pool(test: np.ndarray, mirror: np.ndarray, cal: np.ndarray):
-    """Stack test, mirror, and calibration rows into a pool; returns (pool, n_pairs)."""
-    if test.shape[0] != mirror.shape[0]:
-        raise ConfigError("test and mirror blocks must pair up one-to-one")
-    return np.vstack([test, mirror, cal]), test.shape[0]
 
 
 @dataclass(frozen=True)
@@ -363,15 +307,26 @@ def _logistic_gd(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
     return w, b
 
 
-def fit_score(spec: ClassifierSpec, ctx: TrainContext) -> ScoreModel:
-    """Fit the score function described by ``spec`` on the given context.
+def fit_score(
+    spec: ClassifierSpec,
+    train: np.ndarray,
+    outliers: Optional[np.ndarray] = None,
+    pool: Optional[np.ndarray] = None,
+) -> ScoreModel:
+    """Fit the score function described by ``spec`` on the given rows.
 
     Parameters
     ----------
     spec : ClassifierSpec
         Family, method, and hyperparameters.
-    ctx : TrainContext
-        Training nulls, labeled outliers, and (for PUC) the transductive pool.
+    train : ndarray, shape (n, p)
+        Training nulls; every family fits on them.
+    outliers : ndarray, shape (k, p), optional
+        Labeled outliers, read by BIC fits alone.
+    pool : ndarray, shape (N, p), optional
+        The test, mirror and calibration rows that
+        :meth:`~scq.pipeline.ScoreTable.model` stacks, read by PUC fits
+        alone, in canonical row order.
 
     Raises
     ------
@@ -381,9 +336,8 @@ def fit_score(spec: ClassifierSpec, ctx: TrainContext) -> ScoreModel:
         When the Gaussian covariance is not finite or its regularization
         is exhausted.
     """
-    train = ctx.train_nulls
     if train.shape[0] == 0:
-        raise ConfigError("train_nulls must be nonempty")
+        raise ConfigError("the training nulls must be nonempty")
     p = train.shape[1]
     hp = spec.hyperparams
 
@@ -395,19 +349,19 @@ def fit_score(spec: ClassifierSpec, ctx: TrainContext) -> ScoreModel:
         else:  # knn
             params = {"k": _knn_k(hp["k"], train.shape[0]), **_reference(train)}
     elif spec.family == "BIC":
-        if ctx.labeled_outliers.shape[0] == 0:
+        if outliers is None or outliers.shape[0] == 0:
             raise MissingOutliers("BIC fits require at least one labeled outlier")
-        x = np.vstack([train, ctx.labeled_outliers])
-        y = np.concatenate([np.zeros(train.shape[0]), np.ones(ctx.labeled_outliers.shape[0])])
+        x = np.vstack([train, outliers])
+        y = np.concatenate([np.zeros(train.shape[0]), np.ones(outliers.shape[0])])
         if spec.method == "logistic":
             w, b = _logistic_gd(x, y, hp["iterations"], hp["step"])
             params = {"w": w, "b": b}
         else:  # knn on labeled points
             params = {"labels": y, "k": _knn_k(hp["k"], x.shape[0]), **_reference(x)}
     else:  # PUC
-        if ctx.transductive_pool is None or ctx.transductive_pool.shape[0] == 0:
+        if pool is None or pool.shape[0] == 0:
             raise ConfigError("PUC fits require a nonempty transductive pool")
-        pool = _canonical_sort(ctx.transductive_pool)
+        pool = _canonical_sort(pool)
         if spec.method == "kde-ratio":
             params = {
                 "null_kde": _fit_kde(train, hp["bandwidth"]),

@@ -7,7 +7,9 @@ signal frequency built symmetrically from both coordinates of each p-value
 pair, and a bias-correcting odds transform.  Because the estimator only sees
 ``1{p > lambda} + 1{pt > lambda}`` per unit, it is exactly invariant under
 swapping any subset of (test, mirror) pairs, which is what lets the weighted
-pairs feed the mirror calibration without breaking its validity.
+pairs feed the mirror calibration without breaking its validity.  Weights
+are float64 arrays; :func:`~scq.conformal.build_pairs` checks that they are
+positive and finite.
 
 Kernel aggregation takes one of two exact paths, chosen from the side
 information alone.  When every position sits on an integer lattice
@@ -143,20 +145,6 @@ class SparsityEstimate:
         object.__setattr__(self, "raw", np.asarray(self.raw, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    w: np.ndarray
-
-    def __post_init__(self):
-        wa = np.asarray(self.w, dtype=np.float64)
-        if np.any(wa <= 0.0) or not np.all(np.isfinite(wa)):
-            raise ConfigError("weight vector must be strictly positive and finite")
-        object.__setattr__(self, "w", wa)
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-
 def silverman_bandwidth(side: SideInfo) -> float:
     """Rule-of-thumb bandwidth 1.06 * sd(S) * m^(-1/5) on positional side info."""
     s = side.values.astype(np.float64)
@@ -206,36 +194,34 @@ def estimate_sparsity(
     return SparsityEstimate(pi_hat=clipped, lam=lam, raw=raw)
 
 
-def structure_weights(est: SparsityEstimate) -> WeightVector:
+def structure_weights(est: SparsityEstimate) -> np.ndarray:
     """Bias-corrected odds transform ``w_j = pi_hat_j / (1/2 - pi_hat_j)``.
 
     The estimator concentrates near half the true signal frequency, so
     dividing by ``1/2 - pi_hat`` recovers the odds scale of
     :func:`oracle_weights`.
     """
-    return WeightVector(w=est.pi_hat / (0.5 - est.pi_hat))
+    return est.pi_hat / (0.5 - est.pi_hat)
 
 
-def oracle_weights(pi: Sequence[float]) -> WeightVector:
+def oracle_weights(pi: Sequence[float]) -> np.ndarray:
     """Odds transform of known signal frequencies, for simulation studies."""
     arr = np.asarray(pi, dtype=np.float64)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise PiOutOfRange("oracle pi values must lie strictly inside (0, 1)")
-    return WeightVector(w=arr / (1.0 - arr))
+    return arr / (1.0 - arr)
 
 
-def dump_weight_diagnostics(
-    path, side: SideInfo, est: SparsityEstimate, wv: WeightVector
-) -> None:
+def dump_weight_diagnostics(path, side: SideInfo, est: SparsityEstimate, w: np.ndarray) -> None:
     """Write per-unit weight diagnostics as CSV (unit,side,pi_raw,pi_clipped,weight)."""
     write_csv(
         path,
         ("unit", "side", "pi_raw", "pi_clipped", "weight"),
         zip(
-            range(1, len(wv) + 1),
+            range(1, len(w) + 1),
             side.values.tolist(),
             est.raw.tolist(),
             est.pi_hat.tolist(),
-            wv.w.tolist(),
+            w.tolist(),
         ),
     )

@@ -1,0 +1,130 @@
+"""Write every artifact of a fixed set of CLI runs into one directory.
+
+Usage::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/cli_artifacts.py OUT
+
+The runs are the criterion-12 fixture at ``--seed 9``; ``infer``,
+``select`` and ``select --plus`` on ``paper_synthetic_config(500, 3, 3.0)``
+CSVs with positional and with group side info; ``simulate`` over all five
+pipelines (oracle weights included) at 1 and 2 workers; and ``report``
+over the simulations.  Each run writes into its own subdirectory of
+``OUT`` and leaves its exit code, stdout and stderr in ``console.txt``
+there.  The CLI runs in-process from inside ``OUT`` with relative paths,
+so two source trees' outputs compare byte for byte with
+``diff -r OUT_A OUT_B``.  With one BLAS thread every byte is a function of
+the source tree alone.  The name keeps pytest from collecting this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from scq.bench import paper_synthetic_config
+from scq.cli import main as cli_main
+from scq.datamodel import SideInfo, TestSet, generate_hierarchical, save_csv
+from test_acceptance import _write_cli_fixtures
+
+CLASSIFIERS = [("OCC", "gaussian"), ("OCC", "kde"), ("PUC", "kde-ratio"), ("PUC", "pu-logistic")]
+TOOLBOX = [{"family": f, "method": m} for f, m in CLASSIFIERS]
+GROUP_WIDTH = 50
+SIMULATE = {
+    "synthetic": {
+        "m": 90,
+        "p": 2,
+        "sparsity_blocks": [{"interval": [10, 30], "pi": 0.8}, {"interval": [50, 60], "pi": 0.5}],
+        "background_pi": 0.02,
+        "alt_components": [
+            {"interval": [1, 45], "mean": 3.0},
+            {"interval": [46, 90], "mean": [-2.0, 2.5], "scale": 0.5},
+        ],
+        "null_pool_size": 180,
+    },
+    "methods": [
+        {"name": "scq-gauss", "pipeline": "scq", "classifier": {"family": "OCC", "method": "gaussian"}},
+        {
+            "name": "scq-oracle", "pipeline": "scq", "weight_mode": "oracle",
+            "classifier": {"family": "OCC", "method": "kde"},
+        },
+        {"pipeline": "bc-unweighted", "classifier": {"family": "PUC", "method": "kde-ratio"}},
+        {"pipeline": "cfbh", "classifier": {"family": "OCC", "method": "gaussian"}},
+        {
+            "name": "bh", "pipeline": "cfbh", "storey": False,
+            "classifier": {"family": "PUC", "method": "pu-logistic"},
+        },
+        {"pipeline": "ptams", "toolbox": TOOLBOX[:3]},
+        {"pipeline": "ptams_plus", "toolbox": TOOLBOX, "lambda_grid": [0.1, 0.3]},
+    ],
+    "reps": 6,
+    "alpha": 0.1,
+    "param_value": 3.0,
+}
+
+
+def run(name: str, argv: list) -> None:
+    """Run the CLI with ``--out name`` and keep its console output there."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli_main(argv + ["--out", name])
+    Path(name).mkdir(parents=True, exist_ok=True)
+    console = f"exit {rc}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    Path(name, "console.txt").write_text(console)
+
+
+def write_json(path: str, doc) -> str:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    return path
+
+
+def synthetic_csvs() -> dict:
+    """The paper-config dataset, saved with positional and with group side info."""
+    rng = np.random.default_rng(np.random.SeedSequence([500, 3]))
+    pool, test = generate_hierarchical(paper_synthetic_config(500, 3, 3.0), rng)
+    groups = SideInfo("group", np.arange(test.m) // GROUP_WIDTH + 1)
+    paths = {"position": "data-position.csv", "group": "data-group.csv"}
+    save_csv(pool, test, paths["position"])
+    save_csv(pool, TestSet(test.features, groups, test.truth, test.pi), paths["group"])
+    return paths
+
+
+def main(out_dir: str) -> None:
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
+
+    Path("c12").mkdir(exist_ok=True)
+    data, sim_cfg, infer_cfg, select_cfg = (str(p) for p in _write_cli_fixtures(Path("c12")))
+    run("c12-simulate", ["simulate", "--config", sim_cfg, "--seed", "9"])
+    run("c12-infer", ["infer", data, "--config", infer_cfg, "--seed", "9"])
+    run("c12-select", ["select", data, "--config", select_cfg, "--seed", "9"])
+    run("c12-report", ["report", "c12-simulate"])
+
+    for side, data in synthetic_csvs().items():
+        for family, method in CLASSIFIERS:
+            classifier = {"family": family, "method": method}
+            cfg = write_json(f"infer-{family}-{method}.json", {"classifier": classifier, "alpha": 0.1})
+            run(f"infer-{side}-{family}-{method}", ["infer", data, "--config", cfg, "--seed", "4"])
+        gauss = {"family": "OCC", "method": "gaussian"}
+        for tag, extra in (("unit", {"weight_mode": "unit"}), ("jitter", {"jitter": True})):
+            cfg = write_json(f"infer-{tag}.json", {"classifier": gauss, "alpha": 0.1, **extra})
+            run(f"infer-{side}-{tag}", ["infer", data, "--config", cfg, "--seed", "4"])
+        cfg = write_json("select.json", {"toolbox": TOOLBOX, "alpha": 0.1})
+        run(f"select-{side}", ["select", data, "--config", cfg, "--seed", "4"])
+        run(f"select-plus-{side}", ["select", data, "--plus", "--config", cfg, "--seed", "4"])
+
+    for threads in (1, 2):
+        cfg = write_json("simulate.json", {**SIMULATE, "threads": threads})
+        run(f"simulate/threads{threads}", ["simulate", "--config", cfg, "--seed", "11"])
+    run("report", ["report", "simulate"])
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT")
+    main(sys.argv[1])

@@ -28,7 +28,7 @@ from scq.datamodel import (
 )
 from scq.errors import DimensionMismatch
 from scq.pipeline import CandidateScores, ScoreTable
-from scq.scoring import ClassifierSpec, ScoreModel, TrainContext, fit_score, score_batch
+from scq.scoring import ClassifierSpec, ScoreModel, score_batch
 
 
 def mirror_stat(pairs: ScorePairs, t: float) -> float:
@@ -56,17 +56,19 @@ def score(model: ScoreModel, x: np.ndarray) -> float:
 
 def verify_swap_invariance(
     spec: ClassifierSpec,
-    ctx: TrainContext,
+    data: InferenceData,
     pairs_to_swap,
     probe: np.ndarray,
 ) -> bool:
     """Refit after swapping the given (test, mirror) pairs and compare scores.
 
-    Exact equality is required for closed-form fits (gaussian, kde, knn);
-    iterative logistic fits are allowed 1e-12 relative slack.
+    Both fits run through :meth:`~scq.pipeline.ScoreTable.model`, the fit
+    path of every run.  Exact equality is required for closed-form fits
+    (gaussian, kde, knn); iterative logistic fits are allowed 1e-12
+    relative slack.
     """
-    base = score(fit_score(spec, ctx), np.asarray(probe, dtype=np.float64))
-    swapped = score(fit_score(spec, ctx.with_swapped_pairs(pairs_to_swap)), probe)
+    base = score(ScoreTable(data).model(spec), np.asarray(probe, dtype=np.float64))
+    swapped = score(ScoreTable(swap_inference_pairs(data, pairs_to_swap)).model(spec), probe)
     if spec.method in ("logistic", "pu-logistic"):
         return bool(np.isclose(swapped, base, rtol=1e-12, atol=0.0))
     return swapped == base

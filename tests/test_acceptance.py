@@ -36,8 +36,8 @@ from scq.conformal import (
 from scq.datamodel import InferenceData, SyntheticConfig, generate_hierarchical, split_nulls
 from scq.errors import ScqError
 from scq.modelselect import CoinStream, Toolbox, ptams
-from scq.pipeline import WeightConfig, compute_weights, run_scq
-from scq.scoring import ClassifierSpec, fit_score, make_transductive_pool, TrainContext
+from scq.pipeline import ScoreTable, WeightConfig, compute_weights, run_scq
+from scq.scoring import ClassifierSpec
 
 
 def _verdict(num: int, desc: str, ok: bool) -> None:
@@ -283,23 +283,19 @@ def test_c11_swap_invariance_suite():
     ok = True
     for inst in range(n_instances):
         data = make_synthetic_data(m=m, p=3, mu=2.5, seed=1200 + inst)
-        pool, n_pairs = make_transductive_pool(
-            data.test.features, data.split.mirror, data.split.cal
-        )
-        ctx = TrainContext(
-            train_nulls=data.split.train, transductive_pool=pool, n_pairs=n_pairs
-        )
-        kde_base = fit_score(ClassifierSpec("PUC", "kde-ratio"), ctx)
-        pulog_base = fit_score(ClassifierSpec("PUC", "pu-logistic"), ctx)
+        table = ScoreTable(data)
+        kde_base = table.model(ClassifierSpec("PUC", "kde-ratio"))
+        pulog_base = table.model(ClassifierSpec("PUC", "pu-logistic"))
         scores_base = candidate_pvalues(data, ClassifierSpec("OCC", "gaussian"))
-        w_base = compute_weights(data, scores_base.p, scores_base.p_tilde, WeightConfig())[0].w
+        w_base = compute_weights(data, scores_base.p, scores_base.p_tilde, WeightConfig())[0]
         coins = CoinStream(seed=5000 + inst)
         trace_base, _ = ptams(SELECTION_TOOLBOX, data, alpha=0.05, coins=coins)
 
         for _ in range(n_swaps):
             ids = [int(j) for j in np.flatnonzero(rng.random(m) < 0.5) + 1]
-            swapped_ctx = ctx.with_swapped_pairs(ids)
-            kde_swap = fit_score(ClassifierSpec("PUC", "kde-ratio"), swapped_ctx)
+            sdata = swap_inference_pairs(data, ids)
+            swapped = ScoreTable(sdata)
+            kde_swap = swapped.model(ClassifierSpec("PUC", "kde-ratio"))
             if not (
                 np.array_equal(
                     kde_base.params["mix_kde"]["train"], kde_swap.params["mix_kde"]["train"]
@@ -310,7 +306,7 @@ def test_c11_swap_invariance_suite():
             ):
                 ok = False
                 break
-            pulog_swap = fit_score(ClassifierSpec("PUC", "pu-logistic"), swapped_ctx)
+            pulog_swap = swapped.model(ClassifierSpec("PUC", "pu-logistic"))
             if not (
                 np.array_equal(pulog_base.params["w"], pulog_swap.params["w"])
                 and pulog_base.params["b"] == pulog_swap.params["b"]
@@ -318,11 +314,10 @@ def test_c11_swap_invariance_suite():
                 ok = False
                 break
 
-            sdata = swap_inference_pairs(data, ids)
             scores_swap = candidate_pvalues(sdata, ClassifierSpec("OCC", "gaussian"))
             w_swap = compute_weights(
                 sdata, scores_swap.p, scores_swap.p_tilde, WeightConfig()
-            )[0].w
+            )[0]
             if not np.array_equal(w_base, w_swap):
                 ok = False
                 break

@@ -18,11 +18,11 @@ from scq.bench import (
     power,
     replication_table,
     rows_to_csv,
-    rows_to_json,
     true_positives,
     write_long_csv,
     _replicate_once,
 )
+from scq.cli import _write_json
 from scq.conformal import RejectionSet
 from scq.datamodel import SyntheticConfig
 from scq.errors import ConfigError, TooManyFailures
@@ -275,7 +275,8 @@ class TestOutputs:
     def test_csv_and_json(self, tmp_path):
         rows = compare([SCQ_GAUSS], tiny_config(), reps=3, master_seed=6)
         rows_to_csv(rows, tmp_path / "m.csv")
-        rows_to_json(rows, tmp_path / "m.json", param_value=2.0)
+        doc = {"rows": [row.to_dict() for row in rows], "param_value": 2.0}
+        _write_json(tmp_path / "m.json", doc)
         header = (tmp_path / "m.csv").read_text().splitlines()[0]
         assert header == "method,fdr,fdr_se,ap,ap_se,etp,etp_se,reps"
         import json

@@ -255,6 +255,14 @@ class TestInfer:
         assert rc == 1
         assert "no test rows" in capsys.readouterr().err
 
+    def test_outliers_without_nulls_exit_one(self, tmp_path, infer_config, capsys):
+        # the empty block of train-null rows keeps the width of the outlier rows
+        data = tmp_path / "outliers-only.csv"
+        data.write_text("__role__,f0,f1\ntrain-outlier,5.0,5.0\n" + "test,0.5,0.5\n" * 3)
+        rc = main(["infer", str(data), "--config", str(infer_config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need at least m + 2 = 5 inliers, have 0\n"
+
 
 class TestSelect:
     def test_single_candidate_matches_infer(self, tmp_path, infer_config):

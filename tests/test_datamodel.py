@@ -181,6 +181,25 @@ class TestGenerateHierarchical:
         np.testing.assert_array_equal(comp.mean, want_comp.mean)
 
 
+class TestSideInfo:
+    @pytest.mark.parametrize(
+        "kind, values",
+        [
+            ("group", [1.5] * 10 + [2.5] * 10),
+            ("group", [np.nan, 1.0]),
+            ("group", [1.0, 1e30]),
+            ("group", [[1, 2], [3, 4]]),
+            ("position", [[1.0, 2.0], [3.0, 4.0]]),
+            ("group", ["x", "y"]),
+            ("position", ["x", "y"]),
+        ],
+    )
+    def test_bad_values_raise_config_error(self, kind, values):
+        # 1-d numbers only, and group labels integral within int64
+        with pytest.raises(ConfigError):
+            SideInfo(kind, values)
+
+
 class TestCsv:
     def test_direct_parse(self, tmp_path):
         path = tmp_path / "tiny.csv"

@@ -290,7 +290,7 @@ def assert_same_run(got, want):
         (got.rejection.mask, want.rejection.mask),
         (got.pairs.v, want.pairs.v),
         (got.pairs.vt, want.pairs.vt),
-        (got.weights.w, want.weights.w),
+        (got.weights, want.weights),
         (got.sparsity.raw, want.sparsity.raw),
     ):
         np.testing.assert_array_equal(a, b)

@@ -57,14 +57,14 @@ class TestWeightModes:
         data = make_synthetic_data(m=50, p=2, mu=3.0, seed=1)
         res = run_scq(data, GAUSS, WeightConfig(mode="oracle"), alpha=0.1)
         pi = cfg.pi_vector()
-        np.testing.assert_allclose(res.weights.w, pi / (1 - pi))
+        np.testing.assert_allclose(res.weights, pi / (1 - pi))
 
     def test_oracle_weights_are_those_of_the_generating_pi(self):
         cfg = paper_synthetic_config(m=50, p=2, mu=3.0)
         data = make_synthetic_data(m=50, p=2, mu=3.0, seed=1)
         p = np.full(data.m, 0.5)
         w, est = compute_weights(data, p, p, WeightConfig(mode="oracle"))
-        np.testing.assert_array_equal(w.w, oracle_weights(cfg.pi_vector()).w)
+        np.testing.assert_array_equal(w, oracle_weights(cfg.pi_vector()))
         assert est is None
 
     def test_oracle_needs_pi(self):
@@ -80,7 +80,7 @@ class TestWeightModes:
         data = make_synthetic_data(m=50, p=2, mu=3.0, seed=0)
         res = run_scq(data, GAUSS, WeightConfig(lam=0.3), alpha=0.1)
         assert res.sparsity.lam == 0.3
-        np.testing.assert_array_equal(structure_weights(res.sparsity).w, res.weights.w)
+        np.testing.assert_array_equal(structure_weights(res.sparsity), res.weights)
 
 
 class TestJitter:

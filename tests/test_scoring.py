@@ -14,33 +14,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from helpers import make_synthetic_data, score, verify_swap_invariance
+from helpers import make_synthetic_data, score, swap_inference_pairs, verify_swap_invariance
 from scq import scoring
+from scq.datamodel import InferenceData, NullSplit, SideInfo, TestSet
 from scq.errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
+from scq.pipeline import ScoreTable
 from scq.scoring import (
     ClassifierSpec,
-    TrainContext,
     _BLOCK_ROWS,
     _block_rows,
     _expit,
     _logsumexp_rows,
     _regularized_cholesky,
     fit_score,
-    make_transductive_pool,
     score_batch,
 )
 
 
-def ctx_with_pool(rng, n_train=25, m=10, n_cal=8, p=3, outliers=0):
+def inference_data(train, test, mirror, cal, outliers=()):
+    """The rows of one dataset, bundled; test units sit at positions 1..m."""
+    side = SideInfo("position", np.arange(1.0, len(test) + 1))
+    return InferenceData(
+        split=NullSplit(train=train, cal=cal, mirror=mirror),
+        test=TestSet(features=test, side=side),
+        labeled_outliers=outliers,
+    )
+
+
+def data_with_pool(rng, n_train=25, m=10, n_cal=8, p=3, outliers=0):
     train = rng.standard_normal((n_train, p))
     test = rng.standard_normal((m, p)) + 1.0
     mirror = rng.standard_normal((m, p))
     cal = rng.standard_normal((n_cal, p))
-    pool, n_pairs = make_transductive_pool(test, mirror, cal)
-    lab = rng.standard_normal((outliers, p)) + 3.0 if outliers else np.empty((0, p))
-    return TrainContext(
-        train_nulls=train, labeled_outliers=lab, transductive_pool=pool, n_pairs=n_pairs
-    )
+    lab = rng.standard_normal((outliers, p)) + 3.0 if outliers else ()
+    return inference_data(train, test, mirror, cal, lab)
 
 
 class TestSpecValidation:
@@ -66,7 +73,7 @@ class TestSpecValidation:
 class TestGaussian:
     def test_closed_form_moments(self):
         train = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-        model = fit_score(ClassifierSpec("OCC", "gaussian"), TrainContext(train_nulls=train))
+        model = fit_score(ClassifierSpec("OCC", "gaussian"), train)
         np.testing.assert_allclose(model.params["mean"], [1.0, 1.0])
         # hand computation: sample covariance (ddof=1) is (4/3) I, plus the
         # trace-scaled ridge 1e-6 * (8/3) / 2
@@ -76,10 +83,7 @@ class TestGaussian:
 
     def test_density_orientation(self):
         rng = np.random.default_rng(0)
-        model = fit_score(
-            ClassifierSpec("OCC", "gaussian"),
-            TrainContext(train_nulls=rng.standard_normal((200, 4))),
-        )
+        model = fit_score(ClassifierSpec("OCC", "gaussian"), rng.standard_normal((200, 4)))
         assert score(model, np.zeros(4)) > score(model, np.full(4, 5.0))
 
     def test_degenerate_fit_exhausts_escalation(self):
@@ -88,15 +92,13 @@ class TestGaussian:
             _regularized_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
 
     def test_single_point_train(self):
-        model = fit_score(
-            ClassifierSpec("OCC", "gaussian"), TrainContext(train_nulls=np.array([[1.0, 2.0]]))
-        )
+        model = fit_score(ClassifierSpec("OCC", "gaussian"), np.array([[1.0, 2.0]]))
         assert np.isfinite(score(model, np.array([1.0, 2.0])))
 
     def test_matches_scipy_density(self):
         rng = np.random.default_rng(4)
         train = rng.standard_normal((80, 4)) @ rng.standard_normal((4, 4))
-        model = fit_score(ClassifierSpec("OCC", "gaussian"), TrainContext(train_nulls=train))
+        model = fit_score(ClassifierSpec("OCC", "gaussian"), train)
         params = model.params
         ref = stats.multivariate_normal(params["mean"], params["chol"] @ params["chol"].T)
         x = rng.standard_normal((50, 4)) * 3.0
@@ -106,23 +108,19 @@ class TestGaussian:
         # finite features whose squares overflow: a typed error, not scipy's ValueError
         train = np.random.default_rng(0).standard_normal((50, 3)) * 1e160
         with pytest.raises(DegenerateFit):
-            fit_score(ClassifierSpec("OCC", "gaussian"), TrainContext(train_nulls=train))
+            fit_score(ClassifierSpec("OCC", "gaussian"), train)
 
 
 class TestKnn:
     def test_occ_exhaustive_distances(self):
         train = np.array([[0.0], [1.0], [2.0]])
-        model = fit_score(
-            ClassifierSpec("OCC", "knn", {"k": 1}), TrainContext(train_nulls=train)
-        )
+        model = fit_score(ClassifierSpec("OCC", "knn", {"k": 1}), train)
         assert score(model, np.array([0.5])) == pytest.approx(-0.5)
         assert score(model, np.array([10.0])) == pytest.approx(-8.0)
 
     def test_bic_nearest_label(self):
-        ctx = TrainContext(
-            train_nulls=np.array([[0.0]]), labeled_outliers=np.array([[10.0]])
-        )
-        model = fit_score(ClassifierSpec("BIC", "knn", {"k": 1}), ctx)
+        spec = ClassifierSpec("BIC", "knn", {"k": 1})
+        model = fit_score(spec, np.array([[0.0]]), np.array([[10.0]]))
         assert score(model, np.array([5.1])) < score(model, np.array([4.9]))
         assert score(model, np.array([5.1])) == -1.0
         assert score(model, np.array([4.9])) == 0.0
@@ -144,7 +142,8 @@ class TestKnn:
         )
         model = fit_score(
             ClassifierSpec("BIC", "knn", {} if k is None else {"k": k}),
-            TrainContext(train_nulls=train, labeled_outliers=outliers),
+            train,
+            outliers,
         )
         ref, labels, kk = model.params["train"], model.params["labels"], model.params["k"]
         dist = ((x[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
@@ -155,11 +154,9 @@ class TestKnn:
         # 2x overflows in the first coordinate, so a row's distances are NaN
         # or inf by the sign of each reference row's first coordinate
         rng = np.random.default_rng(4)
-        ctx = TrainContext(
-            train_nulls=rng.standard_normal((30, 2)),
-            labeled_outliers=rng.standard_normal((10, 2)) + 2.0,
-        )
-        model = fit_score(ClassifierSpec("BIC", "knn", {"k": 35}), ctx)
+        train = rng.standard_normal((30, 2))
+        outliers = rng.standard_normal((10, 2)) + 2.0
+        model = fit_score(ClassifierSpec("BIC", "knn", {"k": 35}), train, outliers)
         x = rng.standard_normal((50, 2))
         x[:3, 0] = 1e308
         want = np.empty(len(x))
@@ -173,47 +170,39 @@ class TestKnn:
 
     def test_default_k_is_sqrt_n(self):
         rng = np.random.default_rng(1)
-        model = fit_score(
-            ClassifierSpec("OCC", "knn"), TrainContext(train_nulls=rng.standard_normal((100, 2)))
-        )
+        model = fit_score(ClassifierSpec("OCC", "knn"), rng.standard_normal((100, 2)))
         assert model.params["k"] == 10
 
     def test_k_clamped_to_train_size(self):
         model = fit_score(
             ClassifierSpec("OCC", "knn", {"k": 50}),
-            TrainContext(train_nulls=np.zeros((5, 1)) + np.arange(5)[:, None]),
+            np.zeros((5, 1)) + np.arange(5)[:, None],
         )
         assert model.params["k"] == 5
 
 
 class TestLogistic:
     def test_bic_orientation_separable(self):
-        ctx = TrainContext(
-            train_nulls=np.full((20, 1), -1.0), labeled_outliers=np.full((20, 1), 1.0)
+        model = fit_score(
+            ClassifierSpec("BIC", "logistic"), np.full((20, 1), -1.0), np.full((20, 1), 1.0)
         )
-        model = fit_score(ClassifierSpec("BIC", "logistic"), ctx)
         assert score(model, np.array([-3.0])) > score(model, np.array([3.0]))
 
     def test_missing_outliers(self):
         with pytest.raises(MissingOutliers):
-            fit_score(
-                ClassifierSpec("BIC", "logistic"),
-                TrainContext(train_nulls=np.zeros((5, 1))),
-            )
+            fit_score(ClassifierSpec("BIC", "logistic"), np.zeros((5, 1)))
 
 
 class TestKde:
     def test_orientation(self):
         rng = np.random.default_rng(2)
-        model = fit_score(
-            ClassifierSpec("OCC", "kde"), TrainContext(train_nulls=rng.standard_normal((150, 2)))
-        )
+        model = fit_score(ClassifierSpec("OCC", "kde"), rng.standard_normal((150, 2)))
         assert score(model, np.zeros(2)) > score(model, np.full(2, 6.0))
 
     def test_log_density_floor(self):
         model = fit_score(
             ClassifierSpec("OCC", "kde", {"bandwidth": 0.01}),
-            TrainContext(train_nulls=np.zeros((3, 1))),
+            np.zeros((3, 1)),
         )
         assert score(model, np.array([1e6])) == -745.0
 
@@ -308,42 +297,21 @@ class TestExpit:
         np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
 
-class TestSwappedPairs:
-    def test_swaps_the_listed_pairs(self):
-        ctx = ctx_with_pool(np.random.default_rng(11))
-        pool = ctx.with_swapped_pairs([2, 7, 10]).transductive_pool
-        expected = ctx.transductive_pool.copy()
-        for j in (2, 7, 10):
-            expected[[j - 1, 9 + j]] = expected[[9 + j, j - 1]]
-        np.testing.assert_array_equal(pool, expected)
-        unswapped = ctx.with_swapped_pairs([]).transductive_pool
-        np.testing.assert_array_equal(unswapped, ctx.transductive_pool)
-
-    @pytest.mark.parametrize("ids", [[0], [11], [3, -1]])
-    def test_out_of_range_id(self, ids):
-        ctx = ctx_with_pool(np.random.default_rng(12))
-        with pytest.raises(ConfigError, match="outside the paired region"):
-            ctx.with_swapped_pairs(ids)
-
-    def test_repeated_id(self):
-        # a pair listed twice would be swapped back and silently left as it was
-        ctx = ctx_with_pool(np.random.default_rng(13))
-        with pytest.raises(ConfigError, match="distinct"):
-            ctx.with_swapped_pairs([4, 2, 4])
-
-
 class TestPuc:
     def test_kde_ratio_pool_order_irrelevant(self):
         rng = np.random.default_rng(3)
-        ctx = ctx_with_pool(rng)
-        shuffled = TrainContext(
-            train_nulls=ctx.train_nulls,
-            labeled_outliers=ctx.labeled_outliers,
-            transductive_pool=ctx.transductive_pool[::-1].copy(),
-            n_pairs=ctx.n_pairs,
+        data = data_with_pool(rng)
+        # every pair swapped, the units reordered and the calibration rows reversed
+        swapped = swap_inference_pairs(data, range(1, data.m + 1))
+        order = rng.permutation(data.m)
+        shuffled = inference_data(
+            data.split.train,
+            swapped.test.features[order],
+            swapped.split.mirror[order],
+            data.split.cal[::-1],
         )
-        a = fit_score(ClassifierSpec("PUC", "kde-ratio"), ctx)
-        b = fit_score(ClassifierSpec("PUC", "kde-ratio"), shuffled)
+        a = ScoreTable(data).model(ClassifierSpec("PUC", "kde-ratio"))
+        b = ScoreTable(shuffled).model(ClassifierSpec("PUC", "kde-ratio"))
         np.testing.assert_array_equal(
             a.params["mix_kde"]["train"], b.params["mix_kde"]["train"]
         )
@@ -356,16 +324,13 @@ class TestPuc:
         test = rng.standard_normal((30, 2)) + np.array([4.0, 4.0])
         mirror = rng.standard_normal((30, 2))
         cal = rng.standard_normal((20, 2))
-        pool, n_pairs = make_transductive_pool(test, mirror, cal)
-        ctx = TrainContext(train_nulls=train, transductive_pool=pool, n_pairs=n_pairs)
-        model = fit_score(ClassifierSpec("PUC", "pu-logistic"), ctx)
+        data = inference_data(train, test, mirror, cal)
+        model = ScoreTable(data).model(ClassifierSpec("PUC", "pu-logistic"))
         assert score(model, np.zeros(2)) > score(model, np.full(2, 4.0))
 
     def test_requires_pool(self):
         with pytest.raises(ConfigError):
-            fit_score(
-                ClassifierSpec("PUC", "kde-ratio"), TrainContext(train_nulls=np.zeros((4, 2)))
-            )
+            fit_score(ClassifierSpec("PUC", "kde-ratio"), np.zeros((4, 2)))
 
 
 DISTANCE_SCORERS = [("OCC", "kde"), ("OCC", "knn"), ("BIC", "knn"), ("PUC", "kde-ratio")]
@@ -376,19 +341,14 @@ def distance_models(n_ref, p, seed):
     rng = np.random.default_rng(seed)
     n_out = n_ref // 10
     m = (n_ref - n_out) // 3
-    train = rng.standard_normal((n_ref - n_out, p))
-    pool, n_pairs = make_transductive_pool(
+    table = ScoreTable(inference_data(
+        rng.standard_normal((n_ref - n_out, p)),
         rng.standard_normal((m, p)) + 1.0,
         rng.standard_normal((m, p)),
         rng.standard_normal((n_ref - n_out - 2 * m, p)),
-    )
-    ctx = TrainContext(
-        train_nulls=train,
-        labeled_outliers=rng.standard_normal((n_out, p)) + 2.0,
-        transductive_pool=pool,
-        n_pairs=n_pairs,
-    )
-    return {f"{f}/{m}": fit_score(ClassifierSpec(f, m), ctx) for f, m in DISTANCE_SCORERS}
+        rng.standard_normal((n_out, p)) + 2.0,
+    ))
+    return {f"{f}/{m}": table.model(ClassifierSpec(f, m)) for f, m in DISTANCE_SCORERS}
 
 
 # 684 null rows (OCC, both KDEs of PUC/kde-ratio) and 760 labeled rows (BIC)
@@ -483,58 +443,49 @@ def test_blas_row_blocks_reproduce_one_shot_product():
 class TestInvarianceContracts:
     def test_occ_ignores_pool(self):
         rng = np.random.default_rng(5)
-        ctx = ctx_with_pool(rng)
-        mutated = TrainContext(
-            train_nulls=ctx.train_nulls,
-            labeled_outliers=ctx.labeled_outliers,
-            transductive_pool=ctx.transductive_pool + 100.0,
-            n_pairs=ctx.n_pairs,
-        )
+        train, pool = rng.standard_normal((25, 3)), rng.standard_normal((28, 3))
         probe = rng.standard_normal(3)
         for method in ("gaussian", "kde", "knn"):
             spec = ClassifierSpec("OCC", method)
-            assert score(fit_score(spec, ctx), probe) == score(fit_score(spec, mutated), probe)
+            base = score(fit_score(spec, train, pool=pool), probe)
+            assert base == score(fit_score(spec, train, pool=pool + 100.0), probe)
 
     def test_bic_ignores_pool(self):
         rng = np.random.default_rng(6)
-        ctx = ctx_with_pool(rng, outliers=10)
-        mutated = TrainContext(
-            train_nulls=ctx.train_nulls,
-            labeled_outliers=ctx.labeled_outliers,
-            transductive_pool=None,
-            n_pairs=0,
-        )
+        train, outliers = rng.standard_normal((25, 3)), rng.standard_normal((10, 3)) + 3.0
+        pool = rng.standard_normal((28, 3))
         probe = rng.standard_normal(3)
         for method in ("logistic", "knn"):
             spec = ClassifierSpec("BIC", method)
-            assert score(fit_score(spec, ctx), probe) == score(fit_score(spec, mutated), probe)
+            base = score(fit_score(spec, train, outliers, pool), probe)
+            assert base == score(fit_score(spec, train, outliers), probe)
 
     def test_verify_swap_invariance_occ_trivial(self):
         rng = np.random.default_rng(7)
-        ctx = ctx_with_pool(rng)
+        data = data_with_pool(rng)
         assert verify_swap_invariance(
-            ClassifierSpec("OCC", "kde"), ctx, [1, 3], rng.standard_normal(3)
+            ClassifierSpec("OCC", "kde"), data, [1, 3], rng.standard_normal(3)
         )
 
     def test_verify_swap_invariance_puc_all_pairs(self):
         rng = np.random.default_rng(8)
-        ctx = ctx_with_pool(rng)
+        data = data_with_pool(rng)
         assert verify_swap_invariance(
-            ClassifierSpec("PUC", "kde-ratio"), ctx, range(1, 11), rng.standard_normal(3)
+            ClassifierSpec("PUC", "kde-ratio"), data, range(1, 11), rng.standard_normal(3)
         )
 
     def test_verify_swap_invariance_puc_subsets(self):
         rng = np.random.default_rng(9)
-        ctx = ctx_with_pool(rng)
+        data = data_with_pool(rng)
         probe = rng.standard_normal(3)
         for spec in (ClassifierSpec("PUC", "kde-ratio"), ClassifierSpec("PUC", "pu-logistic")):
             for _ in range(10):
                 subset = [int(j) for j in np.flatnonzero(rng.random(10) < 0.5) + 1]
-                assert verify_swap_invariance(spec, ctx, subset, probe)
+                assert verify_swap_invariance(spec, data, subset, probe)
 
     def test_fit_deterministic(self):
         rng = np.random.default_rng(10)
-        ctx = ctx_with_pool(rng, outliers=5)
+        data = data_with_pool(rng, outliers=5)
         probe = rng.standard_normal(3)
         for fam, meth in [
             ("OCC", "gaussian"),
@@ -546,7 +497,8 @@ class TestInvarianceContracts:
             ("PUC", "pu-logistic"),
         ]:
             spec = ClassifierSpec(fam, meth)
-            assert score(fit_score(spec, ctx), probe) == score(fit_score(spec, ctx), probe)
+            first, second = ScoreTable(data).model(spec), ScoreTable(data).model(spec)
+            assert score(first, probe) == score(second, probe)
 
 
 class TestOrientationMonteCarlo:
@@ -556,10 +508,7 @@ class TestOrientationMonteCarlo:
         wins = 0
         for seed in range(50):
             data = make_synthetic_data(m=120, p=5, mu=3.0, seed=seed)
-            model = fit_score(
-                ClassifierSpec("OCC", "gaussian"),
-                TrainContext(train_nulls=data.split.train),
-            )
+            model = fit_score(ClassifierSpec("OCC", "gaussian"), data.split.train)
             s = score_batch(model, data.test.features)
             truth = data.test.truth
             if truth.sum() >= 3 and (~truth).sum() >= 3:
@@ -570,8 +519,7 @@ class TestOrientationMonteCarlo:
 class TestScoreValidation:
     def test_dimension_mismatch(self):
         model = fit_score(
-            ClassifierSpec("OCC", "gaussian"),
-            TrainContext(train_nulls=np.random.default_rng(0).standard_normal((9, 2))),
+            ClassifierSpec("OCC", "gaussian"), np.random.default_rng(0).standard_normal((9, 2))
         )
         with pytest.raises(DimensionMismatch):
             score(model, np.zeros(3))

@@ -148,7 +148,7 @@ class TestEstimateSparsity:
         est2 = estimate_sparsity(omega, p2, pt2, lam)
         np.testing.assert_array_equal(est1.pi_hat, est2.pi_hat)
         np.testing.assert_array_equal(
-            structure_weights(est1).w, structure_weights(est2).w
+            structure_weights(est1), structure_weights(est2)
         )
 
     def test_one_aggregation_per_estimate(self, monkeypatch):
@@ -178,7 +178,7 @@ class TestEstimateSparsity:
         pt = cp(nums[::-1], n_cal)
         side = SideInfo("group", rng.integers(0, 3, size=m))
         est = estimate_sparsity(weight_matrix(side), p, pt, 0.5)
-        w = structure_weights(est).w
+        w = structure_weights(est)
         assert np.all(w > 0) and np.all(np.isfinite(w))
 
 
@@ -187,7 +187,7 @@ class TestStructureWeights:
         from scq.weights import SparsityEstimate
 
         est = SparsityEstimate(pi_hat=[0.25, 1 / 3, EPS_PI], lam=0.1, raw=[0, 0, 0])
-        w = structure_weights(est).w
+        w = structure_weights(est)
         assert w[0] == pytest.approx(1.0)
         assert w[1] == pytest.approx(2.0)
         assert w[2] == pytest.approx(EPS_PI / (0.5 - EPS_PI))
@@ -196,13 +196,13 @@ class TestStructureWeights:
 
 class TestOracleWeights:
     def test_even_odds(self):
-        assert oracle_weights([0.5]).w[0] == 1.0
+        assert oracle_weights([0.5])[0] == 1.0
 
     def test_nine_to_one(self):
-        assert oracle_weights([0.9]).w[0] == pytest.approx(9.0)
+        assert oracle_weights([0.9])[0] == pytest.approx(9.0)
 
     def test_block_levels(self):
-        w = oracle_weights([0.01, 0.6]).w
+        w = oracle_weights([0.01, 0.6])
         np.testing.assert_allclose(w, [0.01 / 0.99, 1.5])
 
     def test_out_of_range(self):
@@ -227,6 +227,6 @@ class TestConsistencyDirection:
         for seed in range(runs):
             data = make_synthetic_data(m=200, p=5, mu=3.0, seed=seed)
             scores = candidate_pvalues(data, ClassifierSpec("OCC", "gaussian"))
-            w = compute_weights(data, scores.p, scores.p_tilde, WeightConfig())[0].w
+            w = compute_weights(data, scores.p, scores.p_tilde, WeightConfig())[0]
             wins += w[block].mean() > w[background].mean()
         assert wins >= 95
