@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     REQUIRED,
     ConfigError,
+    DimensionMismatch,
     InsufficientNulls,
     NonFiniteFeature,
     NonFiniteSideInfo,
@@ -173,13 +174,21 @@ class InferenceData:
     labeled_outliers: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "labeled_outliers",
-            _as_matrix(self.labeled_outliers, p=self.test.features.shape[1]),
-        )
+        outliers = _as_matrix(self.labeled_outliers, p=self.test.features.shape[1])
+        object.__setattr__(self, "labeled_outliers", outliers)
         if self.split.mirror.shape[0] != self.test.m:
             raise ConfigError("mirror set size must equal the test set size")
+        widths = {
+            "train": self.split.train.shape[1],
+            "calibration": self.split.cal.shape[1],
+            "mirror": self.split.mirror.shape[1],
+            "test": self.test.features.shape[1],
+        }
+        if len(outliers):
+            widths["labeled outlier"] = outliers.shape[1]
+        if len(set(widths.values())) > 1:
+            named = ", ".join(f"{part} {w}" for part, w in widths.items())
+            raise DimensionMismatch(f"feature rows must share one width, got widths {named}")
 
     @property
     def m(self) -> int:

@@ -4,8 +4,9 @@ This is the glue the selection harness, the replication bench, and the
 CLI all share.  A run takes an :class:`~scq.datamodel.InferenceData`
 bundle, fits one classifier, converts calibration ranks into p-value
 pairs, learns weights, and thresholds the weighted pairs by mirror
-calibration.  A PUC classifier fits on the test + mirror + calibration
-pool, which :meth:`ScoreTable.model` alone stacks.  Weights are float64
+calibration.  :class:`ScoreTable` alone stacks the test, mirror and
+calibration rows, the pool of a PUC fit and every scorer's one batch.
+Weights are float64
 arrays, one entry per unit.  Baseline runs (unweighted thresholding,
 plain/Storey BH on conformal p-values) live here too.  Runs on one
 dataset can share a :class:`ScoreTable`, so methods that use the same
@@ -113,11 +114,12 @@ def compute_weights(
 class ScoreTable:
     """The fits, scores, weights and runs of one dataset, keyed by setting.
 
-    Each classifier is fitted and scores the calibration, test and mirror
-    batches once, and each (classifier, weight setting) gets one weight
-    vector, however many methods ask for them.  OCC/kde and PUC/kde-ratio
+    ``rows`` stacks the test, mirror and calibration rows once: the pool of
+    every PUC fit and the one batch each classifier is scored on, in one
+    call.  Each classifier is fitted and scored once, and each (classifier,
+    weight setting) gets one weight vector, however many methods ask.  OCC/kde and PUC/kde-ratio
     at one ``bandwidth`` hyperparameter share the train-null KDE density
-    of each batch, and :func:`run_scq` calibrates each (classifier, weight
+    of ``rows``, and :func:`run_scq` calibrates each (classifier, weight
     setting, alpha) once.  The entries live in one dict whose keys are the
     settings themselves.  A table belongs to one
     :class:`~scq.datamodel.InferenceData` and lives as long as the caller
@@ -127,6 +129,7 @@ class ScoreTable:
 
     def __init__(self, data: InferenceData):
         self.data = data
+        self.rows = np.vstack([data.test.features, data.split.mirror, data.split.cal])
         self._entries = {}
 
     @staticmethod
@@ -140,39 +143,31 @@ class ScoreTable:
         return self._entries[key]
 
     def model(self, spec: ClassifierSpec) -> ScoreModel:
-        """The fit of ``spec``; the one place that stacks a PUC fit's pool
-        of test, mirror and calibration rows."""
-        def make():
-            data = self.data
-            pool = None
-            if spec.family == "PUC":
-                pool = np.vstack([data.test.features, data.split.mirror, data.split.cal])
-            return fit_score(spec, data.split.train, data.labeled_outliers, pool)
-
-        return self._cached(("model", spec), make)
+        """The fit of ``spec``; a PUC fit reads ``rows`` as its pool."""
+        train, outliers = self.data.split.train, self.data.labeled_outliers
+        return self._cached(("model", spec), lambda: fit_score(spec, train, outliers, self.rows))
 
     def batch_scores(self, spec: ClassifierSpec) -> tuple:
-        """Scores ``(cal, test, mirror)`` of the three batches under ``spec``.
+        """Scores ``(cal, test, mirror)`` under ``spec``, cut from one
+        scoring of ``rows``; a score depends on its row alone.
 
         The train-null KDE is fitted on the same rows at the same bandwidth
-        by OCC/kde and by PUC/kde-ratio, so its density of each batch is
-        computed once per bandwidth; kde-ratio subtracts the mixture KDE from
-        it, as ``score_batch`` does.
+        by OCC/kde and by PUC/kde-ratio, so its density of ``rows`` is
+        computed once per bandwidth; kde-ratio subtracts the mixture KDE
+        from it, as ``score_batch`` does.
         """
         def make():
             model = self.model(spec)
-            batches = (self.data.split.cal, self.data.test.features, self.data.split.mirror)
             if spec.method not in ("kde", "kde-ratio"):
-                return tuple(score_batch(model, x) for x in batches)
-            null = model if spec.method == "kde" else _kde_half(model, "null_kde")
-            density = self._cached(
-                ("null_kde", spec.hyperparams["bandwidth"]),
-                lambda: tuple(score_batch(null, x) for x in batches),
-            )
-            if spec.method == "kde":
-                return density
-            mix = _kde_half(model, "mix_kde")
-            return tuple(d - score_batch(mix, x) for d, x in zip(density, batches))
+                s = score_batch(model, self.rows)
+            else:
+                null = model if spec.method == "kde" else _kde_half(model, "null_kde")
+                bandwidth = spec.hyperparams["bandwidth"]
+                s = self._cached(("null_kde", bandwidth), lambda: score_batch(null, self.rows))
+                if spec.method == "kde-ratio":
+                    s = s - score_batch(_kde_half(model, "mix_kde"), self.rows)
+            m = self.data.m
+            return s[2 * m :], s[:m], s[m : 2 * m]
 
         return self._cached(("batches", spec), make)
 

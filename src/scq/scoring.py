@@ -7,7 +7,7 @@ structural contracts hold by construction:
 * one-class and binary fits depend only on the training nulls (and labeled
   outliers), never on test, mirror, or calibration data;
 * positive-unlabeled fits consume the transductive pool, which
-  :meth:`~scq.pipeline.ScoreTable.model` stacks, only through its
+  :class:`~scq.pipeline.ScoreTable` stacks, only through its
   canonically sorted multiset, so refitting after any permutation, or any
   swap of (test, mirror) pairs, reproduces the model bit for bit.
 
@@ -25,14 +25,14 @@ order of the sum.
 
 The distance scorers (KDE, both kNNs, and so the KDE ratio) reduce their
 distances block by block from ``_sq_dist_blocks``, so memory stays flat as
-the batch grows.  A block holds a multiple of ``_BLOCK_ROWS`` = 48 rows and
-never one row alone: OpenBLAS's dgemm bits for a row depend on how the row
-count splits into kernel tiles (and a one-row product runs as gemv), and
-such blocks reproduce the one-shot product bit for bit with one BLAS thread.
-With more threads, the split among threads also moves last bits, blocked or
-not.  Either way a score depends in its last bits on its row's offset and
-its batch's size; pair j of the equal-size test and mirror batches sits at
-the same offset, which is what exact swap invariance needs.
+the batch grows.  Every product a score reads runs at one shape fixed by
+the model: a distance product multiplies a zero-padded tile of
+``_block_rows(n_ref)`` rows by a tile of reference rows worth at most
+``_TILE_MACS`` multiply-adds, which OpenBLAS runs on one thread, and the
+Gaussian and logistic products run in ``np.einsum``, outside BLAS.  So a
+score is a function of its row alone, whatever its batch, its offset in the
+batch or the BLAS thread count, and a swap of two rows between or within
+batches swaps their scores exactly.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ LOG_DENSITY_FLOOR = -745.0  # log of the smallest positive double
 # _BLOCK_ENTRIES entries (two buffers near 1 MB, inside L2).
 _BLOCK_ROWS = 48
 _BLOCK_ENTRIES = 1 << 16
+_TILE_MACS = 1 << 18  # OpenBLAS runs a product this small on one thread
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def _fit_gaussian(train: np.ndarray) -> dict:
 
 
 def _gaussian_logpdf(params: dict, x: np.ndarray) -> np.ndarray:
-    sol = (x - params["mean"]) @ params["inv_chol"].T
+    sol = np.einsum("ij,kj->ik", x - params["mean"], params["inv_chol"])
     maha = np.sum(sol * sol, axis=1)
     p = x.shape[1]
     return -0.5 * (p * np.log(2.0 * np.pi) + params["logdet"] + maha)
@@ -231,8 +232,14 @@ def _knn_k(spec_k: Optional[int], n_train: int) -> int:
 
 
 def _reference(rows: np.ndarray) -> dict:
-    """Reference rows of a distance scorer and their squared norms."""
-    return {"train": rows, "train_sq": np.sum(rows * rows, axis=1)}
+    """Reference rows of a distance scorer less their coordinatewise median
+    ``center`` (a half-integer for integer rows, so they stay exact), and
+    their squared norms.  ``np.median`` would give the same bits but import
+    ``numpy.ma``, 1.5 MB of resident memory."""
+    mid = [(len(rows) - 1) // 2, len(rows) // 2]
+    center = np.partition(rows, mid, axis=0)[mid].mean(axis=0)
+    rows = rows - center
+    return {"train": rows, "train_sq": np.sum(rows * rows, axis=1), "center": center}
 
 
 def _block_rows(n_ref: int) -> int:
@@ -244,29 +251,34 @@ def _sq_dist_blocks(x: np.ndarray, ref: Mapping[str, np.ndarray]):
 
     The blocks cover the rows of ``x`` in order and are views of two
     buffers allocated once per call, so a consumer must reduce each block
-    before asking for the next.  Each entry is
-    ``max(|t|^2 + |x|^2 - (2x).t, 0)``, computed in that order: the norms
-    of the reference rows are copied in whole and each row's own norm is
-    added in place, and ``t + x`` is the same double as ``x + t``.
+    before asking for the next.  Both sides are taken less the reference's
+    ``center``, so a large common offset cancels before the product.  Each
+    entry is ``max(|t|^2 + |x|^2 - (2x).t, 0)``, computed in that order: the
+    norms of the reference rows are copied in whole and each row's own norm
+    is added in place, and ``t + x`` is the same double as ``x + t``.  Every
+    product has one shape: ``_block_rows(n_ref)`` rows, the last tile
+    zero-padded, times as many reference rows as fit in ``_TILE_MACS``
+    multiply-adds.  So a row's distances depend on that row alone, not on
+    its batch, its offset or the BLAS thread count.
     """
     train, tt = ref["train"], ref["train_sq"]
-    n = x.shape[0]
-    step = _block_rows(train.shape[0])
-    bounds = list(range(0, n, step)) + [n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
-        # a one-row product runs as matrix-vector, with other bits
-        del bounds[-2]
-    xx = np.sum(x * x, axis=1)
-    g = np.empty((min(n, step + 1), train.shape[0]))
+    (n_ref, p), n = train.shape, x.shape[0]
+    step = _block_rows(n_ref)
+    cols = max(1, _TILE_MACS // (step * p))
+    xc = np.zeros((-(-n // step) * step, p))
+    np.subtract(x, ref["center"], out=xc[:n])
+    xx = np.sum(xc * xc, axis=1)
+    xc *= 2.0
+    g = np.empty((step, n_ref))
     a = np.empty_like(g)
-    for lo, hi in zip(bounds, bounds[1:]):
-        gb, ab = g[: hi - lo], a[: hi - lo]
-        np.matmul(2.0 * x[lo:hi], train.T, out=gb)
-        np.copyto(ab, tt)
-        ab += xx[lo:hi, None]
-        ab -= gb
-        np.maximum(ab, 0.0, out=ab)
-        yield slice(lo, hi), ab
+    for lo in range(0, n, step):
+        for c in range(0, n_ref, cols):
+            np.matmul(xc[lo : lo + step], train[c : c + cols].T, out=g[:, c : c + cols])
+        np.copyto(a, tt)
+        a += xx[lo : lo + step, None]
+        a -= g
+        np.maximum(a, 0.0, out=a)
+        yield slice(lo, lo + step), a[: n - lo]
 
 
 def _knn_label_mean(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -325,8 +337,8 @@ def fit_score(
         Labeled outliers, read by BIC fits alone.
     pool : ndarray, shape (N, p), optional
         The test, mirror and calibration rows that
-        :meth:`~scq.pipeline.ScoreTable.model` stacks, read by PUC fits
-        alone, in canonical row order.
+        :class:`~scq.pipeline.ScoreTable` stacks, read by PUC fits alone,
+        in canonical row order.
 
     Raises
     ------
@@ -395,7 +407,7 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
         return -np.sqrt(kth)
     if model.family == "BIC":
         if model.method == "logistic":
-            return -_expit(x @ params["w"] + params["b"])
+            return -_expit(np.einsum("ij,j->i", x, params["w"]) + params["b"])
         frac_outlier = np.empty(x.shape[0])
         for rows, a in _sq_dist_blocks(x, params):
             frac_outlier[rows] = _knn_label_mean(a, params["labels"], params["k"])
@@ -403,5 +415,5 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
     # PUC
     if model.method == "kde-ratio":
         return _kde_logpdf(params["null_kde"], x) - _kde_logpdf(params["mix_kde"], x)
-    return _expit(x @ params["w"] + params["b"])
+    return _expit(np.einsum("ij,j->i", x, params["w"]) + params["b"])
 

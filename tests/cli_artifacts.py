@@ -6,14 +6,18 @@ Usage::
 
 The runs are the criterion-12 fixture at ``--seed 9``; ``infer``,
 ``select`` and ``select --plus`` on ``paper_synthetic_config(500, 3, 3.0)``
-CSVs with positional and with group side info; ``simulate`` over all five
-pipelines (oracle weights included) at 1 and 2 workers; and ``report``
-over the simulations.  Each run writes into its own subdirectory of
-``OUT`` and leaves its exit code, stdout and stderr in ``console.txt``
-there.  The CLI runs in-process from inside ``OUT`` with relative paths,
-so two source trees' outputs compare byte for byte with
-``diff -r OUT_A OUT_B``.  With one BLAS thread every byte is a function of
-the source tree alone.  The name keeps pytest from collecting this file.
+CSVs with positional and with group side info; ``infer`` with PUC/kde-ratio
+on a ``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose 7,000-row mixture
+reference gives distance products of a size OpenBLAS splits among threads
+unless they are tiled; ``simulate`` over all five pipelines (oracle weights
+included) at 1 and 2 workers; and ``report`` over the simulations.  Each
+run writes into its own subdirectory of ``OUT`` and leaves its exit code,
+stdout and stderr in ``console.txt`` there.  The CLI runs in-process from
+inside ``OUT`` with relative paths, so two source trees' outputs compare
+byte for byte with ``diff -r OUT_A OUT_B``.  Every byte is a function of
+the source tree alone, whatever the BLAS thread count: a thread-count check
+is two runs, with ``OPENBLAS_NUM_THREADS=1`` and ``=2``, and a ``diff -r``.
+The name keeps pytest from collecting this file.
 """
 
 from __future__ import annotations
@@ -117,6 +121,12 @@ def main(out_dir: str) -> None:
         cfg = write_json("select.json", {"toolbox": TOOLBOX, "alpha": 0.1})
         run(f"select-{side}", ["select", data, "--config", cfg, "--seed", "4"])
         run(f"select-plus-{side}", ["select", data, "--plus", "--config", cfg, "--seed", "4"])
+
+    rng = np.random.default_rng(np.random.SeedSequence([3000, 3]))
+    save_csv(*generate_hierarchical(paper_synthetic_config(3000, 3, 3.0), rng), "data-3000.csv")
+    ratio = {"family": "PUC", "method": "kde-ratio"}
+    cfg = write_json("infer-large.json", {"classifier": ratio, "alpha": 0.1})
+    run("infer-large-PUC-kde-ratio", ["infer", "data-3000.csv", "--config", cfg, "--seed", "4"])
 
     for threads in (1, 2):
         cfg = write_json("simulate.json", {**SIMULATE, "threads": threads})

@@ -218,10 +218,14 @@ def make_synthetic_data(
 
 
 def swap_inference_pairs(data: InferenceData, pair_ids) -> InferenceData:
-    """Exchange test and mirror feature rows for the given 1-based unit ids."""
+    """Exchange test and mirror feature rows for the given 1-based unit ids,
+    which must be distinct and within 1..m."""
+    ids = [int(j) for j in pair_ids]
+    if len(set(ids)) != len(ids) or not all(1 <= j <= data.m for j in ids):
+        raise ValueError(f"pair ids must be distinct and within 1..{data.m}, got {ids}")
     test_feats = data.test.features.copy()
     mirror = data.split.mirror.copy()
-    for j in pair_ids:
+    for j in ids:
         a = j - 1
         test_feats[a], mirror[a] = mirror[a].copy(), test_feats[a].copy()
     from scq.datamodel import NullSplit, TestSet

@@ -8,7 +8,9 @@ from scipy import stats
 
 from scq.datamodel import (
     AltComponent,
+    InferenceData,
     LabeledPool,
+    NullSplit,
     SideInfo,
     SparsityBlock,
     SyntheticConfig,
@@ -20,6 +22,7 @@ from scq.datamodel import (
 )
 from scq.errors import (
     ConfigError,
+    DimensionMismatch,
     InsufficientNulls,
     NonFiniteFeature,
     ParseError,
@@ -198,6 +201,20 @@ class TestSideInfo:
         # 1-d numbers only, and group labels integral within int64
         with pytest.raises(ConfigError):
             SideInfo(kind, values)
+
+
+class TestInferenceData:
+    @pytest.mark.parametrize("odd", ["train", "calibration", "mirror", "test", "labeled outlier"])
+    def test_a_part_of_another_width_raises_dimension_mismatch(self, odd):
+        rng = np.random.default_rng(0)
+
+        def rows(part, n):
+            return rng.standard_normal((n, 2 if part == odd else 3))
+
+        split = NullSplit(train=rows("train", 6), cal=rows("calibration", 5), mirror=rows("mirror", 4))
+        test = TestSet(features=rows("test", 4), side=SideInfo("position", np.arange(1.0, 5.0)))
+        with pytest.raises(DimensionMismatch, match=f"{odd} 2"):
+            InferenceData(split=split, test=test, labeled_outliers=rows("labeled outlier", 3))
 
 
 class TestCsv:

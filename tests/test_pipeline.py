@@ -162,7 +162,7 @@ class TestSharedNullDensity:
     @pytest.mark.parametrize("hyperparams", [{}, {"bandwidth": 0.5}])
     @pytest.mark.parametrize("kde_first", [True, False])
     def test_shared_table_equals_fresh_tables(self, monkeypatch, hyperparams, kde_first):
-        # the train-null KDE density of each batch is scored once, by
+        # the train-null KDE density of the rows is scored once, by
         # whichever of the two comes first, and the answers do not move
         data = make_synthetic_data(m=97, p=3, mu=2.0, seed=8)
         order = [ClassifierSpec(*spec, hyperparams) for spec in (("OCC", "kde"), ("PUC", "kde-ratio"))]
@@ -171,7 +171,7 @@ class TestSharedNullDensity:
         densities = count_calls(monkeypatch, scoring._kde_logpdf)
         table = ScoreTable(data)
         shared = [table.scores(spec) for spec in order]
-        assert len(densities) == 3 + 3  # one null and one mixture KDE per batch
+        assert len(densities) == 1 + 1  # one null and one mixture KDE
         for spec, got in zip(order, shared):
             fresh = ScoreTable(data).scores(spec)
             np.testing.assert_array_equal(got.num, fresh.num)
@@ -184,7 +184,7 @@ class TestSharedNullDensity:
         table = ScoreTable(data)
         table.scores(KDE)
         got = table.scores(narrow)
-        assert len(densities) == 3 + 3 + 3
+        assert len(densities) == 1 + 1 + 1
         fresh = ScoreTable(data).scores(narrow)
         np.testing.assert_array_equal(got.num, fresh.num)
         np.testing.assert_array_equal(got.num_tilde, fresh.num_tilde)

@@ -18,7 +18,7 @@ from helpers import make_synthetic_data, score, swap_inference_pairs, verify_swa
 from scq import scoring
 from scq.datamodel import InferenceData, NullSplit, SideInfo, TestSet
 from scq.errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
-from scq.pipeline import ScoreTable
+from scq.pipeline import ScoreTable, WeightConfig, run_scq
 from scq.scoring import (
     ClassifierSpec,
     _BLOCK_ROWS,
@@ -146,7 +146,7 @@ class TestKnn:
             outliers,
         )
         ref, labels, kk = model.params["train"], model.params["labels"], model.params["k"]
-        dist = ((x[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+        dist = ((x[:, None, :] - model.params["center"] - ref[None, :, :]) ** 2).sum(axis=2)
         order = np.argsort(dist, axis=1, kind="stable")[:, :kk]
         np.testing.assert_array_equal(score_batch(model, x), -labels[order].mean(axis=1))
 
@@ -333,11 +333,20 @@ class TestPuc:
             fit_score(ClassifierSpec("PUC", "kde-ratio"), np.zeros((4, 2)))
 
 
+SCORERS = [
+    ("OCC", "gaussian"),
+    ("OCC", "kde"),
+    ("OCC", "knn"),
+    ("BIC", "logistic"),
+    ("BIC", "knn"),
+    ("PUC", "kde-ratio"),
+    ("PUC", "pu-logistic"),
+]
 DISTANCE_SCORERS = [("OCC", "kde"), ("OCC", "knn"), ("BIC", "knn"), ("PUC", "kde-ratio")]
 
 
-def distance_models(n_ref, p, seed):
-    """The four distance scorers, each fitted on about ``n_ref`` reference rows."""
+def fitted_models(n_ref, p, seed):
+    """The seven scorers, each fitted on about ``n_ref`` reference rows."""
     rng = np.random.default_rng(seed)
     n_out = n_ref // 10
     m = (n_ref - n_out) // 3
@@ -348,12 +357,18 @@ def distance_models(n_ref, p, seed):
         rng.standard_normal((n_ref - n_out - 2 * m, p)),
         rng.standard_normal((n_out, p)) + 2.0,
     ))
-    return {f"{f}/{m}": table.model(ClassifierSpec(f, m)) for f, m in DISTANCE_SCORERS}
+    return {f"{f}/{m}": table.model(ClassifierSpec(f, m)) for f, m in SCORERS}
 
 
 # 684 null rows (OCC, both KDEs of PUC/kde-ratio) and 760 labeled rows (BIC)
-BLOCKING_MODELS = distance_models(n_ref=760, p=3, seed=21)
-BATCH_SIZES = [_BLOCK_ROWS + d for d in (-1, 0, 1)] + [2 * _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 2]
+# at p = 3 fit in one column tile; at p = 20, 820 null rows take column tiles
+# of 273 rows, the last one a single row
+PURITY_MODELS = {
+    (name, p): model
+    for n_ref, p in ((760, 3), (911, 20))
+    for name, model in fitted_models(n_ref, p, seed=21).items()
+}
+BATCH_SIZES = [1, 2] + [k * _BLOCK_ROWS + d for k in (1, 2) for d in (-1, 0, 1)] + [3 * _BLOCK_ROWS + 1]
 
 
 class TestBlockedScoring:
@@ -361,41 +376,29 @@ class TestBlockedScoring:
         assert _block_rows(684) == _block_rows(760) == _BLOCK_ROWS
         assert _block_rows(300) == 4 * _BLOCK_ROWS
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        name=st.sampled_from(sorted(BLOCKING_MODELS)),
+        key=st.sampled_from(sorted(PURITY_MODELS)),
         n=st.sampled_from(BATCH_SIZES),
+        size=st.sampled_from(BATCH_SIZES),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_swapping_rows_between_equal_batches_swaps_scores(self, name, n, seed):
-        model = BLOCKING_MODELS[name]
+    def test_a_score_depends_on_its_row_alone(self, key, n, size, seed):
+        # alone, or in a batch of any size that holds it at any offset, a row
+        # scores the same bits, so swapping rows between batches swaps scores
+        model = PURITY_MODELS[key]
         rng = np.random.default_rng(seed)
-        x, y = rng.standard_normal((2, n, 3)) * 1.5
-        swap = rng.random(n) < 0.5
-        xs, ys = np.where(swap[:, None], y, x), np.where(swap[:, None], x, y)
-        sx, sy = score_batch(model, x), score_batch(model, y)
-        np.testing.assert_array_equal(score_batch(model, xs), np.where(swap, sy, sx))
-        np.testing.assert_array_equal(score_batch(model, ys), np.where(swap, sx, sy))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        name=st.sampled_from(sorted(BLOCKING_MODELS)),
-        n=st.sampled_from(BATCH_SIZES),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_blocked_scores_equal_one_block(self, name, n, seed):
-        model = BLOCKING_MODELS[name]
-        x = np.random.default_rng(seed).standard_normal((n, 3)) * 1.5
-        blocked = score_batch(model, x)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scoring, "_BLOCK_ENTRIES", 1 << 40)
-            whole = score_batch(model, x)
-        np.testing.assert_array_equal(blocked, whole)
+        x = rng.standard_normal((n, model.dim)) * 1.5
+        whole = score_batch(model, x)
+        rows = rng.integers(0, n, size)
+        np.testing.assert_array_equal(score_batch(model, x[rows]), whole[rows])
+        j = rows[0]
+        assert score_batch(model, x[j : j + 1])[0] == whole[j]
 
     @pytest.mark.parametrize("name", [f"{f}/{m}" for f, m in DISTANCE_SCORERS])
     def test_peak_memory_flat_in_batch_size(self, name):
         # the whole 8000 x 2000 distance matrix alone would take 122 MB
-        model = distance_models(n_ref=2000, p=5, seed=22)[name]
+        model = fitted_models(n_ref=2000, p=5, seed=22)[name]
         for n_eval in (1000, 8000):
             x = np.random.default_rng(n_eval).standard_normal((n_eval, 5))
             tracemalloc.start()
@@ -407,37 +410,60 @@ class TestBlockedScoring:
             assert peak < 8 * 2**20, f"{name} at {n_eval} rows peaked at {peak / 2**20:.1f} MB"
 
 
-BLAS_CANARY = """
-import json, sys
+THREAD_CANARY = """
+import hashlib, json, sys
 import numpy as np
-rows, mismatches = int(sys.argv[1]), {}
+from scq.scoring import ClassifierSpec, fit_score, score_batch
 rng = np.random.default_rng(0)
-for n, n_ref, p in [(1000, 300, 5), (2000, 700, 3), (5000, 3333, 5), (517, 2000, 7), (98, 60, 2)]:
-    x, t = rng.standard_normal((n, p)), rng.standard_normal((n_ref, p))
-    full = (2.0 * x) @ t.T
-    for block in (rows, 2 * rows, 4 * rows, 8 * rows):
-        got = np.vstack([(2.0 * x[lo:lo + block]) @ t.T for lo in range(0, n, block)])
-        bad = int(np.sum(got != full))
-        if bad:
-            mismatches[f"{n}x{n_ref}x{p}/{block}"] = bad
-print(json.dumps(mismatches))
+train, pool = rng.standard_normal((2, 3333, 5))
+outliers = rng.standard_normal((300, 5)) + 2.0
+x = rng.standard_normal((4800, 5)) * 1.5
+digests = {}
+for family, method in json.loads(sys.argv[1]):
+    model = fit_score(ClassifierSpec(family, method), train, outliers, pool + 0.5)
+    digests[f"{family}/{method}"] = hashlib.sha256(score_batch(model, x).tobytes()).hexdigest()
+print(json.dumps(digests))
 """
 
 
-def test_blas_row_blocks_reproduce_one_shot_product():
-    """Blocked scores equal unblocked ones only if this holds for the BLAS."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    run = subprocess.run(
-        [sys.executable, "-c", BLAS_CANARY, str(_BLOCK_ROWS)],
-        env=env, capture_output=True, text=True, check=True,
+def test_scores_are_the_same_bytes_at_one_and_two_blas_threads():
+    """A one-shot product of 3,333 reference rows is large enough for
+    OpenBLAS to split among threads, which moves last bits; the scorers'
+    tiles keep every product on one thread."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-c", THREAD_CANARY, json.dumps(SCORERS)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(json.loads(run.stdout))
+    assert [name for name in digests[0] if digests[0][name] != digests[1][name]] == []
+
+
+class TestCommonOffset:
+    @pytest.fixture(scope="class")
+    def data(self):
+        base = make_synthetic_data(m=500, p=5, mu=2.0, seed=7)
+        outliers = np.random.default_rng(1).standard_normal((50, 5)) + 2.0
+        return InferenceData(split=base.split, test=base.test, labeled_outliers=outliers)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e8])
+    @pytest.mark.parametrize(
+        "spec", [ClassifierSpec(*s) for s in DISTANCE_SCORERS], ids=lambda spec: spec.name
     )
-    mismatches = json.loads(run.stdout)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert not mismatches, (
-        f"row blocks of {_BLOCK_ROWS}k rows change dgemm bits with this BLAS "
-        f"({blas.get('name')} {blas.get('version')}, {blas.get('openblas configuration', '')}): "
-        f"mismatching entries {mismatches}"
-    )
+    def test_shifting_every_feature_keeps_the_rejections(self, data, spec, shift):
+        # the distances are taken between centered rows, so |x|^2 + |t|^2
+        # does not swamp 2x.t when the features share a large offset
+        split = data.split
+        shifted = InferenceData(
+            split=NullSplit(train=split.train + shift, cal=split.cal + shift, mirror=split.mirror + shift),
+            test=TestSet(features=data.test.features + shift, side=data.test.side),
+            labeled_outliers=data.labeled_outliers + shift,
+        )
+        base = run_scq(data, spec, WeightConfig(), alpha=0.1).rejection.sorted()
+        assert len(base) > 30
+        assert run_scq(shifted, spec, WeightConfig(), alpha=0.1).rejection.sorted() == base
 
 
 class TestInvarianceContracts:
@@ -482,6 +508,12 @@ class TestInvarianceContracts:
             for _ in range(10):
                 subset = [int(j) for j in np.flatnonzero(rng.random(10) < 0.5) + 1]
                 assert verify_swap_invariance(spec, data, subset, probe)
+
+    def test_swap_helper_rejects_ids_outside_one_to_m_and_repeats(self):
+        data = data_with_pool(np.random.default_rng(7))
+        for ids in ([0], [data.m + 1], [2, 2]):
+            with pytest.raises(ValueError):
+                swap_inference_pairs(data, ids)
 
     def test_fit_deterministic(self):
         rng = np.random.default_rng(10)
