@@ -49,11 +49,9 @@ from .scoring import (
 )
 from .weights import (
     SparsityEstimate,
-    WeightMatrix,
     estimate_sparsity,
     oracle_weights,
     structure_weights,
-    weight_matrix,
 )
 
 __version__ = "0.1.0"

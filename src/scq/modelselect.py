@@ -18,8 +18,7 @@ derived by a counter-based hash of (seed, unit index) alone: stable under
 any processing order, any m, and any change to feature values.
 
 A selector's answer is :func:`~scq.pipeline.run_scq` of the selected
-classifier at the selected screening threshold, whose weight matrix's kind
-follows the side-info kind.
+classifier at the selected screening threshold.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ arrays, one entry per unit.  Baseline runs (unweighted thresholding,
 plain/Storey BH on conformal p-values) live here too.  Runs on one
 dataset can share a :class:`ScoreTable`, so methods that use the same
 classifier fit and score it once: every entry point takes the data or a
-table over it.  The weight matrix's kind follows the side-info kind.
+table over it.  Learned weights come from each unit's group or
+Gaussian-kernel neighborhood, as the side-info kind implies.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from .conformal import (
 from .datamodel import InferenceData
 from .errors import ConfigError
 from .scoring import ClassifierSpec, ScoreModel, fit_score, score_batch
-from .weights import (
-    SparsityEstimate, estimate_sparsity, oracle_weights, structure_weights, weight_matrix
-)
+from .weights import SparsityEstimate, estimate_sparsity, oracle_weights, structure_weights
 
 JITTER_SCALE = 1e6  # tie-breaking jitter is u / (JITTER_SCALE * (N + 1))
 
@@ -106,8 +105,7 @@ def compute_weights(
         if data.test.pi is None:
             raise ConfigError("oracle weights need the true signal frequencies of simulated data")
         return oracle_weights(data.test.pi), None
-    omega = weight_matrix(data.test.side, cfg.bandwidth)
-    est = estimate_sparsity(omega, p, p_tilde, cfg.lam)
+    est = estimate_sparsity(data.test.side, cfg.bandwidth, p, p_tilde, cfg.lam)
     return structure_weights(est), est
 
 

@@ -1,26 +1,27 @@
 """Structure-adaptive weights learned from side information.
 
-Unit ``j`` borrows evidence from its side-information neighborhood through a
-weight matrix whose kind follows ``side.kind`` (a same-group indicator for
-groups, a Gaussian kernel for positions), a screened estimate of the local
-signal frequency built symmetrically from both coordinates of each p-value
-pair, and a bias-correcting odds transform.  Because the estimator only sees
+Unit ``j`` borrows evidence from its side-information neighborhood through
+:func:`neighbour_sums`, which sums a per-unit quantity over ``j``'s group
+for group side info and weighs it by a Gaussian kernel in the position
+distance for positional side info.  :func:`estimate_sparsity` feeds it a
+screened count built symmetrically from both coordinates of each p-value
+pair, giving a local signal-frequency estimate, and a bias-correcting odds
+transform turns that into weights.  Because the estimator only sees
 ``1{p > lambda} + 1{pt > lambda}`` per unit, it is exactly invariant under
 swapping any subset of (test, mirror) pairs, which is what lets the weighted
 pairs feed the mirror calibration without breaking its validity.  Weights
 are float64 arrays; :func:`~scq.conformal.build_pairs` checks that they are
 positive and finite.
 
-Kernel aggregation takes one of two exact paths, chosen from the side
-information alone.  When every position sits on an integer lattice
-(``s - min(s)`` integral, span below ``_LATTICE_SPAN_PER_UNIT * m``, as
-for the default positions ``1..m``), the Gaussian sum over units is a
-discrete convolution: the columns are binned onto the lattice, with
-duplicates added, and convolved by FFT with the kernel evaluated at each
-integer offset, in O(m log m).  The kernel is evaluated at the same scaled
-distances ``(s_i - s_j) / h`` as on the dense path, so the two paths differ
-only in summation order, at roundoff.  Any other positions take the dense
-O(m^2) path in row chunks.
+Kernel sums take one of two exact paths, chosen from the side information
+alone.  When every position sits on an integer lattice (``s - min(s)``
+integral, span below ``_LATTICE_SPAN_PER_UNIT * m``, as for the default
+positions ``1..m``), the Gaussian sum over units is a discrete convolution:
+the units are binned onto the lattice, with duplicates added, and convolved
+by FFT with the kernel evaluated at each integer offset, in O(m log m).  The
+kernel is evaluated at the same scaled distances ``(s_i - s_j) / h`` as on
+the dense path, so the two paths differ only in summation order, at
+roundoff.  Any other positions take the dense O(m^2) path in row chunks.
 """
 
 from __future__ import annotations
@@ -52,84 +53,37 @@ def _binned(idx: np.ndarray, x: np.ndarray, n_bins: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Lazy m-by-m nonnegative matrix derived from side information alone.
+def neighbour_sums(side: SideInfo, bandwidth: Optional[float], x: np.ndarray) -> np.ndarray:
+    """Neighborhood sums ``(sum_i omega_ij * x_i : j = 1..m)``.
 
-    The matrix kind follows ``side.kind``: group side info gives the 0/1
-    same-category indicator (diagonal all ones), positional side info the
-    Gaussian kernel on pairwise position distances with bandwidth
-    ``bandwidth``.  Rows are never materialized unless
-    :meth:`dense` is called.  :meth:`weighted_sums` aggregates group
-    indicators by summing within groups; it aggregates the kernel by one FFT
-    convolution when the positions lie on an integer lattice (the default
-    positions ``1..m`` do) and by dense row chunks otherwise.  Both kernel
-    paths evaluate the kernel at the distances :meth:`dense` uses, so they
-    agree with it to roundoff; :meth:`dense` is the reference the tests
-    compare against.
+    ``omega_ij`` is the same-group indicator for group side info, where
+    ``bandwidth`` is ignored, and the Gaussian kernel with bandwidth
+    ``bandwidth`` on the position distance ``s_i - s_j`` for positional
+    side info.  ``x`` has shape ``(m,)`` or ``(m, k)``; each column is
+    summed and the result has the shape of ``x``.
     """
-
-    side: SideInfo
-    bandwidth: Optional[float] = None
-
-    def __post_init__(self):
-        if self.side.kind == "position" and (self.bandwidth is None or self.bandwidth <= 0):
-            raise ConfigError("kernel weighting requires a positive bandwidth")
-
-    @property
-    def m(self) -> int:
-        return len(self.side)
-
-    def _kernel_block(self, rows: np.ndarray) -> np.ndarray:
-        s = self.side.values
-        return _gaussian((s[rows, None] - s[None, :]) / self.bandwidth, self.bandwidth)
-
-    def _lattice_index(self) -> Optional[np.ndarray]:
-        """Lattice offset of each unit, or ``None`` when positions are not on
-        an integer lattice of span below ``_LATTICE_SPAN_PER_UNIT * m``."""
-        off = self.side.values - self.side.values.min()
-        if np.any(off != np.floor(off)) or off.max() >= _LATTICE_SPAN_PER_UNIT * self.m:
-            return None
-        return off.astype(np.int64)
-
-    def weighted_sums(self, x: np.ndarray) -> np.ndarray:
-        """Column aggregation ``(sum_i omega_ij * x_i : j = 1..m)``.
-
-        ``x`` has shape ``(m,)`` or ``(m, k)``; each column is aggregated
-        and the result has the shape of ``x``.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.m:
-            raise ConfigError("aggregation vector length must equal m")
-        if self.side.kind == "group":
-            groups, idx = np.unique(self.side.values, return_inverse=True)
-            return _binned(idx, x, len(groups))[idx]
-        idx = self._lattice_index() if self.m else None
-        if idx is not None:
-            return self._lattice_sums(idx, x)
-        out = np.empty_like(x)
-        for start in range(0, self.m, _KERNEL_CHUNK):
-            rows = np.arange(start, min(start + _KERNEL_CHUNK, self.m))
-            out[rows] = self._kernel_block(rows) @ x
-        return out
-
-    def _lattice_sums(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Kernel aggregation of lattice positions as one FFT convolution."""
+    x = np.asarray(x, dtype=np.float64)
+    s = side.values
+    m = len(s)
+    if side.kind == "group":
+        groups, idx = np.unique(s, return_inverse=True)
+        return _binned(idx, x, len(groups))[idx]
+    off = s - s.min() if m else s
+    if m and np.all(off == np.floor(off)) and off.max() < _LATTICE_SPAN_PER_UNIT * m:
+        idx = off.astype(np.int64)
         g = int(idx.max()) + 1
-        taps = _gaussian(np.arange(1 - g, g) / self.bandwidth, self.bandwidth)
+        taps = _gaussian(np.arange(1 - g, g) / bandwidth, bandwidth)
         # linear convolution: a length >= 2g - 1 keeps the wrap-around out of
         # the g outputs read back
         n = 1 << (2 * g - 2).bit_length()
         spectrum = np.fft.rfft(taps, n).reshape((-1,) + (1,) * (x.ndim - 1))
         conv = np.fft.irfft(np.fft.rfft(_binned(idx, x, g), n, axis=0) * spectrum, n, axis=0)
         return conv[idx + g - 1]
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full matrix (intended for small m / tests)."""
-        if self.side.kind == "group":
-            s = self.side.values
-            return (s[:, None] == s[None, :]).astype(np.float64)
-        return self._kernel_block(np.arange(self.m))
+    out = np.empty_like(x)
+    for start in range(0, m, _KERNEL_CHUNK):
+        rows = slice(start, start + _KERNEL_CHUNK)
+        out[rows] = _gaussian((s[rows, None] - s[None, :]) / bandwidth, bandwidth) @ x
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,7 +91,6 @@ class SparsityEstimate:
     """Screened local signal-frequency estimates, clipped for stability."""
 
     pi_hat: np.ndarray
-    lam: float
     raw: np.ndarray
 
     def __post_init__(self):
@@ -154,24 +107,12 @@ def silverman_bandwidth(side: SideInfo) -> float:
     return h if np.isfinite(h) and h > 0.0 else 1.0
 
 
-def weight_matrix(side: SideInfo, bandwidth: Optional[float] = None) -> WeightMatrix:
-    """The neighborhood matrix of ``side``, of the kind ``side.kind`` implies.
-
-    Group side info yields the same-category indicator and ignores
-    ``bandwidth``; positional side info yields a Gaussian kernel with
-    Silverman's bandwidth unless a fixed bandwidth is supplied.
-    """
-    if side.kind == "group":
-        return WeightMatrix(side=side)
-    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(side)
-    return WeightMatrix(side=side, bandwidth=h)
-
-
 def estimate_sparsity(
-    omega: WeightMatrix,
+    side: SideInfo,
+    bandwidth: Optional[float],
     p: np.ndarray,
     p_tilde: np.ndarray,
-    lam: float = 0.1,
+    lam: float,
 ) -> SparsityEstimate:
     """Screened neighborhood estimate of the local signal frequency.
 
@@ -179,19 +120,26 @@ def estimate_sparsity(
     sides pooled) exceeding the screening threshold ``lam`` is converted to
     a signal-frequency estimate and clipped to
     ``[EPS_PI, 1/2 - EPS_PI]``; the unclipped values are kept for
-    diagnostics.
+    diagnostics.  The neighborhood is that of :func:`neighbour_sums`;
+    positional side info uses Silverman's bandwidth unless ``bandwidth``
+    is given, and group side info ignores ``bandwidth``.
     """
     if not 0.0 < lam < 1.0:
         raise ConfigError("lambda must lie in (0, 1)")
     p = np.asarray(p, dtype=np.float64)
     p_tilde = np.asarray(p_tilde, dtype=np.float64)
-    if not (len(p) == len(p_tilde) == omega.m):
-        raise ConfigError("p-value arrays must match the matrix size")
+    m = len(side)
+    if not (len(p) == len(p_tilde) == m):
+        raise ConfigError("p-value arrays must match the side information's length")
+    if side.kind == "position":
+        bandwidth = silverman_bandwidth(side) if bandwidth is None else float(bandwidth)
+        if not 0.0 < bandwidth < np.inf:
+            raise ConfigError(f"bandwidth must be positive and finite, got {bandwidth}")
     exceed = (p > lam).astype(np.float64) + (p_tilde > lam)
-    num, row_sums = omega.weighted_sums(np.column_stack([exceed, np.ones(omega.m)])).T
+    num, row_sums = neighbour_sums(side, bandwidth, np.column_stack([exceed, np.ones(m)])).T
     raw = 1.0 - num / (2.0 * (1.0 - lam) * row_sums)
     clipped = np.clip(raw, EPS_PI, 0.5 - EPS_PI)
-    return SparsityEstimate(pi_hat=clipped, lam=lam, raw=raw)
+    return SparsityEstimate(pi_hat=clipped, raw=raw)
 
 
 def structure_weights(est: SparsityEstimate) -> np.ndarray:

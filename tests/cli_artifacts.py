@@ -6,7 +6,9 @@ Usage::
 
 The runs are the criterion-12 fixture at ``--seed 9``; ``infer``,
 ``select`` and ``select --plus`` on ``paper_synthetic_config(500, 3, 3.0)``
-CSVs with positional and with group side info; ``infer`` with PUC/kde-ratio
+CSVs with positional and with group side info; ``infer`` with OCC/gaussian
+and ``select --plus`` on the same test set with jittered non-integral
+positions, whose kernel weights take the dense path; ``infer`` with PUC/kde-ratio
 on a ``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose 7,000-row mixture
 reference gives distance products of a size OpenBLAS splits among threads
 unless they are tiled; ``simulate`` over all five pipelines (oracle weights
@@ -88,13 +90,16 @@ def write_json(path: str, doc) -> str:
 
 
 def synthetic_csvs() -> dict:
-    """The paper-config dataset, saved with positional and with group side info."""
+    """The paper-config dataset, saved with positional, with group and with
+    jittered positional side info."""
     rng = np.random.default_rng(np.random.SeedSequence([500, 3]))
     pool, test = generate_hierarchical(paper_synthetic_config(500, 3, 3.0), rng)
     groups = SideInfo("group", np.arange(test.m) // GROUP_WIDTH + 1)
-    paths = {"position": "data-position.csv", "group": "data-group.csv"}
+    jittered = SideInfo("position", np.arange(1, test.m + 1) + rng.uniform(-0.3, 0.3, test.m))
+    paths = {side: f"data-{side}.csv" for side in ("position", "group", "jittered")}
     save_csv(pool, test, paths["position"])
     save_csv(pool, TestSet(test.features, groups, test.truth, test.pi), paths["group"])
+    save_csv(pool, TestSet(test.features, jittered, test.truth, test.pi), paths["jittered"])
     return paths
 
 
@@ -109,7 +114,9 @@ def main(out_dir: str) -> None:
     run("c12-select", ["select", data, "--config", select_cfg, "--seed", "9"])
     run("c12-report", ["report", "c12-simulate"])
 
-    for side, data in synthetic_csvs().items():
+    csvs = synthetic_csvs()
+    jittered = csvs.pop("jittered")
+    for side, data in csvs.items():
         for family, method in CLASSIFIERS:
             classifier = {"family": family, "method": method}
             cfg = write_json(f"infer-{family}-{method}.json", {"classifier": classifier, "alpha": 0.1})
@@ -121,6 +128,9 @@ def main(out_dir: str) -> None:
         cfg = write_json("select.json", {"toolbox": TOOLBOX, "alpha": 0.1})
         run(f"select-{side}", ["select", data, "--config", cfg, "--seed", "4"])
         run(f"select-plus-{side}", ["select", data, "--plus", "--config", cfg, "--seed", "4"])
+    gauss_cfg = "infer-OCC-gaussian.json"
+    run("infer-jittered-OCC-gaussian", ["infer", jittered, "--config", gauss_cfg, "--seed", "4"])
+    run("select-plus-jittered", ["select", jittered, "--plus", "--config", cfg, "--seed", "4"])
 
     rng = np.random.default_rng(np.random.SeedSequence([3000, 3]))
     save_csv(*generate_hierarchical(paper_synthetic_config(3000, 3, 3.0), rng), "data-3000.csv")

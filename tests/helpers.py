@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from scq.conformal import ScorePairs, conformal_pvalues
 from scq.datamodel import (
     AltComponent,
     InferenceData,
+    SideInfo,
     SparsityBlock,
     SyntheticConfig,
     generate_hierarchical,
@@ -116,6 +118,17 @@ def attainment_config(m: int) -> SyntheticConfig:
         alt_components=(AltComponent(1, m, np.array([mu_m]), 1.0),),
         null_pool_size=round(5 * m / 3),
     )
+
+
+def dense(side: SideInfo, bandwidth: Optional[float]) -> np.ndarray:
+    """The m-by-m matrix of :func:`~scq.weights.neighbour_sums`: the 0/1
+    same-group indicator for group side info, the Gaussian kernel with
+    bandwidth ``bandwidth`` on pairwise position distances otherwise."""
+    s = side.values
+    if side.kind == "group":
+        return (s[:, None] == s[None, :]).astype(np.float64)
+    d = (s[:, None] - s[None, :]) / bandwidth
+    return np.exp(-0.5 * d * d) / (bandwidth * np.sqrt(2.0 * np.pi))
 
 
 def qvalues_bruteforce(pairs: ScorePairs) -> list:

@@ -24,6 +24,7 @@ from scq.modelselect import (
 from scq.datamodel import InferenceData, SideInfo, TestSet
 from scq.pipeline import ScoreTable, WeightConfig, run_scq
 from scq.scoring import ClassifierSpec, fit_score
+from scq.weights import estimate_sparsity
 
 
 def cp(nums, n):
@@ -229,7 +230,9 @@ class TestPtamsPlus:
         )
         assert len(fits) == len(TOOLBOX)
         assert result.scores.spec == TOOLBOX.candidates[trace.selected - 1]
-        assert result.sparsity.lam == trace.lambda_star
+        scores = result.scores
+        fresh = estimate_sparsity(data.test.side, None, scores.p, scores.p_tilde, trace.lambda_star)
+        np.testing.assert_array_equal(result.sparsity.raw, fresh.raw)
 
     @pytest.mark.parametrize("grid", [DEFAULT_LAMBDA_GRID, (0.05, 0.2, 0.3)])
     def test_reuses_stage_one_count(self, monkeypatch, grid):

@@ -12,7 +12,7 @@ from scq.conformal import bh, conformal_pvalues, storey_bh
 from scq.errors import ConfigError
 from scq.pipeline import ScoreTable, WeightConfig, compute_weights, run_cfbh, run_scq
 from scq.scoring import ClassifierSpec, score_batch
-from scq.weights import oracle_weights, structure_weights
+from scq.weights import estimate_sparsity, oracle_weights, structure_weights
 
 GAUSS = ClassifierSpec("OCC", "gaussian")
 KDE = ClassifierSpec("OCC", "kde")
@@ -79,7 +79,8 @@ class TestWeightModes:
     def test_result_carries_its_sparsity_estimate(self):
         data = make_synthetic_data(m=50, p=2, mu=3.0, seed=0)
         res = run_scq(data, GAUSS, WeightConfig(lam=0.3), alpha=0.1)
-        assert res.sparsity.lam == 0.3
+        fresh = estimate_sparsity(data.test.side, None, res.scores.p, res.scores.p_tilde, 0.3)
+        np.testing.assert_array_equal(res.sparsity.raw, fresh.raw)
         np.testing.assert_array_equal(structure_weights(res.sparsity), res.weights)
 
 

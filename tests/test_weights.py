@@ -1,22 +1,24 @@
-"""Weight matrix, sparsity screening, and the odds transforms."""
+"""Neighborhood sums, sparsity screening, and the odds transforms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import candidate_pvalues, make_synthetic_data
+from helpers import candidate_pvalues, dense, make_synthetic_data
+from scq import weights
 from scq.datamodel import SideInfo
-from scq.errors import PiOutOfRange
+from scq.errors import ConfigError, PiOutOfRange
 from scq.pipeline import WeightConfig, compute_weights
 from scq.scoring import ClassifierSpec
 from scq.weights import (
     EPS_PI,
-    WeightMatrix,
+    SparsityEstimate,
     estimate_sparsity,
+    neighbour_sums,
     oracle_weights,
+    silverman_bandwidth,
     structure_weights,
-    weight_matrix,
 )
 
 
@@ -25,38 +27,42 @@ def cp(nums, n):
     return np.asarray(nums) / (n + 1)
 
 
+def matrix(side, bandwidth=None):
+    """The neighborhood matrix, read back from the sums of the identity's
+    columns (the matrix is symmetric)."""
+    return neighbour_sums(side, bandwidth, np.eye(len(side)))
+
+
 class TestWeightMatrix:
     def test_group_indicator(self):
         side = SideInfo("group", [1, 1, 2])
         expected = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
-        np.testing.assert_array_equal(weight_matrix(side).dense(), expected)
+        np.testing.assert_array_equal(matrix(side), expected)
 
     def test_kernel_ratio_one_bandwidth_apart(self):
         h = 2.5
         side = SideInfo("position", [0.0, h, 2 * h])
-        omega = weight_matrix(side, bandwidth=h).dense()
+        omega = matrix(side, bandwidth=h)
         assert omega[0, 1] / omega[0, 0] == pytest.approx(np.exp(-0.5))
 
     def test_single_unit(self):
         side = SideInfo("group", [7])
-        np.testing.assert_array_equal(weight_matrix(side).dense(), [[1.0]])
+        np.testing.assert_array_equal(matrix(side), [[1.0]])
 
     def test_row_sums_positive(self):
         side = SideInfo("position", np.arange(50, dtype=float))
-        omega = weight_matrix(side)
-        assert np.all(omega.weighted_sums(np.ones(50)) > 0)
+        assert np.all(neighbour_sums(side, silverman_bandwidth(side), np.ones(50)) > 0)
 
     def test_lazy_aggregation_matches_dense(self):
         rng = np.random.default_rng(0)
         side = SideInfo("position", rng.uniform(0, 100, size=60))
-        omega = weight_matrix(side)
+        h = silverman_bandwidth(side)
         x = rng.random(60)
         np.testing.assert_allclose(
-            omega.weighted_sums(x), omega.dense().T @ x, rtol=1e-12
+            neighbour_sums(side, h, x), dense(side, h).T @ x, rtol=1e-12
         )
         gside = SideInfo("group", rng.integers(0, 5, size=60))
-        gomega = weight_matrix(gside)
-        np.testing.assert_allclose(gomega.weighted_sums(x), gomega.dense().T @ x)
+        np.testing.assert_allclose(neighbour_sums(gside, None, x), dense(gside, None).T @ x)
         # integer-lattice positions take the FFT path; the dense matrix is
         # the oracle for one column and for two
         lattices = {
@@ -68,33 +74,36 @@ class TestWeightMatrix:
         }
         for name, s in lattices.items():
             lside = SideInfo("position", s)
-            for h in (0.05, 1.0, None, 1e4):
-                lomega = weight_matrix(lside, h)
-                dense = lomega.dense()
-                tol = 1e-12 * dense.sum(axis=0)
+            for h in (0.05, 1.0, silverman_bandwidth(lside), 1e4):
+                omega = dense(lside, h)
+                tol = 1e-12 * omega.sum(axis=0)
                 xs = rng.random((len(s), 2))
-                got = lomega.weighted_sums(xs)
+                got = neighbour_sums(lside, h, xs)
                 assert got.shape == xs.shape
-                assert np.all(np.abs(got - dense.T @ xs) <= tol[:, None]), (name, h)
-                one = lomega.weighted_sums(xs[:, 0])
-                assert np.all(np.abs(one - dense.T @ xs[:, 0]) <= tol), (name, h)
+                assert np.all(np.abs(got - omega.T @ xs) <= tol[:, None]), (name, h)
+                one = neighbour_sums(lside, h, xs[:, 0])
+                assert np.all(np.abs(one - omega.T @ xs[:, 0]) <= tol), (name, h)
 
     def test_lattice_positions_skip_dense_kernel(self, monkeypatch):
-        def refuse(self, rows):
-            raise AssertionError("dense kernel block evaluated")
+        ndims = []
+        gaussian = weights._gaussian
 
-        monkeypatch.setattr(WeightMatrix, "_kernel_block", refuse)
+        def recorded(d, h):
+            ndims.append(np.ndim(d))
+            return gaussian(d, h)
+
+        monkeypatch.setattr(weights, "_gaussian", recorded)
         x = np.random.default_rng(1).random(40)
-        lattice = weight_matrix(SideInfo("position", np.arange(1, 41, dtype=float)))
-        lattice.weighted_sums(x)
-        irregular = weight_matrix(SideInfo("position", np.linspace(0.0, 1.0, 40) ** 2))
-        with pytest.raises(AssertionError, match="dense kernel block"):
-            irregular.weighted_sums(x)
+        neighbour_sums(SideInfo("position", np.arange(1, 41, dtype=float)), 2.0, x)
+        assert ndims == [1]
+        ndims.clear()
+        neighbour_sums(SideInfo("position", np.linspace(0.0, 1.0, 40) ** 2), 2.0, x)
+        assert ndims == [2]
 
     def test_depends_on_side_info_alone(self):
         side = SideInfo("group", [1, 2, 1])
-        a = weight_matrix(side).dense()
-        b = weight_matrix(SideInfo("group", [1, 2, 1])).dense()
+        a = matrix(side)
+        b = matrix(SideInfo("group", [1, 2, 1]))
         np.testing.assert_array_equal(a, b)
 
 
@@ -102,50 +111,67 @@ class TestEstimateSparsity:
     def test_two_unit_group_example(self):
         # 3 of 4 p-values exceed 0.5: raw = 1 - 3/2 = -0.5, clipped up
         side = SideInfo("group", [1, 1])
-        omega = weight_matrix(side)
-        est = estimate_sparsity(
-            omega, cp([6, 2], 9), cp([7, 9], 9), lam=0.5
-        )
+        est = estimate_sparsity(side, None, cp([6, 2], 9), cp([7, 9], 9), lam=0.5)
         np.testing.assert_allclose(est.raw, [-0.5, -0.5])
         np.testing.assert_allclose(est.pi_hat, [EPS_PI, EPS_PI])
 
     def test_pure_null_saturation(self):
         side = SideInfo("group", [1, 1, 1])
-        omega = weight_matrix(side)
         ones = cp([10] * 3, 9)
-        est = estimate_sparsity(omega, ones, ones, lam=0.5)
+        est = estimate_sparsity(side, None, ones, ones, lam=0.5)
         np.testing.assert_allclose(est.raw, [-1.0, -1.0, -1.0])
         np.testing.assert_allclose(est.pi_hat, [EPS_PI] * 3)
 
     def test_all_signal_saturation(self):
         side = SideInfo("group", [1, 1])
-        omega = weight_matrix(side)
         tiny = cp([1] * 2, 99)
-        est = estimate_sparsity(omega, tiny, tiny, lam=0.5)
+        est = estimate_sparsity(side, None, tiny, tiny, lam=0.5)
         np.testing.assert_allclose(est.raw, [1.0, 1.0])
         np.testing.assert_allclose(est.pi_hat, [0.5 - EPS_PI] * 2)
+
+    @pytest.mark.parametrize(
+        "bandwidth, lam, m_p, m_pt, match",
+        [
+            (0.0, 0.1, 5, 5, "bandwidth must be positive and finite"),
+            (-1.0, 0.1, 5, 5, "bandwidth must be positive and finite"),
+            (np.nan, 0.1, 5, 5, "bandwidth must be positive and finite"),
+            (np.inf, 0.1, 5, 5, "bandwidth must be positive and finite"),
+            (None, 0.0, 5, 5, "lambda"),
+            (None, 1.0, 5, 5, "lambda"),
+            (None, -0.2, 5, 5, "lambda"),
+            (None, 0.1, 4, 5, "length"),
+            (None, 0.1, 5, 6, "length"),
+        ],
+    )
+    def test_rejects_bad_input(self, bandwidth, lam, m_p, m_pt, match):
+        side = SideInfo("position", [0.5, 1.7, 2.0, 4.4, 9.1])
+        with pytest.raises(ConfigError, match=match):
+            estimate_sparsity(side, bandwidth, np.full(m_p, 0.5), np.full(m_pt, 0.5), lam)
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(min_value=1, max_value=30),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.booleans(),
+        st.sampled_from(["group", "lattice", "irregular"]),
     )
-    def test_swap_invariance_exact(self, m, seed, lattice):
+    def test_swap_invariance_exact(self, m, seed, kind):
         rng = np.random.default_rng(seed)
         n_cal = int(rng.integers(3, 40))
         p = cp(rng.integers(1, n_cal + 2, size=m), n_cal)
         pt = cp(rng.integers(1, n_cal + 2, size=m), n_cal)
         # integer positions take the FFT path, uniform ones the dense path
-        positions = rng.integers(-5, 3 * m, size=m) if lattice else rng.uniform(0, 10, size=m)
-        side = SideInfo("position", positions)
-        omega = weight_matrix(side)
+        if kind == "group":
+            side = SideInfo("group", rng.integers(0, 4, size=m))
+        elif kind == "lattice":
+            side = SideInfo("position", rng.integers(-5, 3 * m, size=m))
+        else:
+            side = SideInfo("position", rng.uniform(0, 10, size=m))
         swap = rng.random(m) < 0.5
         p2 = np.where(swap, pt, p)
         pt2 = np.where(swap, p, pt)
         lam = float(rng.uniform(0.05, 0.9))
-        est1 = estimate_sparsity(omega, p, pt, lam)
-        est2 = estimate_sparsity(omega, p2, pt2, lam)
+        est1 = estimate_sparsity(side, None, p, pt, lam)
+        est2 = estimate_sparsity(side, None, p2, pt2, lam)
         np.testing.assert_array_equal(est1.pi_hat, est2.pi_hat)
         np.testing.assert_array_equal(
             structure_weights(est1), structure_weights(est2)
@@ -153,16 +179,16 @@ class TestEstimateSparsity:
 
     def test_one_aggregation_per_estimate(self, monkeypatch):
         calls = []
-        aggregate = WeightMatrix.weighted_sums
+        sums = weights.neighbour_sums
 
-        def counted(self, x):
+        def counted(side, bandwidth, x):
             calls.append(np.shape(x))
-            return aggregate(self, x)
+            return sums(side, bandwidth, x)
 
-        monkeypatch.setattr(WeightMatrix, "weighted_sums", counted)
-        omega = weight_matrix(SideInfo("position", np.arange(1, 21, dtype=float)))
+        monkeypatch.setattr(weights, "neighbour_sums", counted)
+        side = SideInfo("position", np.arange(1, 21, dtype=float))
         p = cp(np.arange(1, 21), 20)
-        estimate_sparsity(omega, p, p[::-1], 0.3)
+        estimate_sparsity(side, None, p, p[::-1], 0.3)
         assert calls == [(20, 2)]
 
     @settings(max_examples=100, deadline=None)
@@ -177,16 +203,14 @@ class TestEstimateSparsity:
         p = cp(nums, n_cal)
         pt = cp(nums[::-1], n_cal)
         side = SideInfo("group", rng.integers(0, 3, size=m))
-        est = estimate_sparsity(weight_matrix(side), p, pt, 0.5)
+        est = estimate_sparsity(side, None, p, pt, 0.5)
         w = structure_weights(est)
         assert np.all(w > 0) and np.all(np.isfinite(w))
 
 
 class TestStructureWeights:
     def test_values(self):
-        from scq.weights import SparsityEstimate
-
-        est = SparsityEstimate(pi_hat=[0.25, 1 / 3, EPS_PI], lam=0.1, raw=[0, 0, 0])
+        est = SparsityEstimate(pi_hat=[0.25, 1 / 3, EPS_PI], raw=[0, 0, 0])
         w = structure_weights(est)
         assert w[0] == pytest.approx(1.0)
         assert w[1] == pytest.approx(2.0)
