@@ -240,8 +240,7 @@ def run_method(
     if method.pipeline == "bc-unweighted":
         return None, run_scq(table, method.classifier, WeightConfig(mode="unit"), alpha)
     if method.pipeline == "scq":
-        jitter = rng is not None
-        return None, run_scq(table, method.classifier, wcfg, alpha, jitter=jitter, rng=rng)
+        return None, run_scq(table, method.classifier, wcfg, alpha, rng=rng)
     if method.pipeline == "ptams":
         return ptams(method.toolbox, table, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg)
     trace, _, result = ptams_plus(

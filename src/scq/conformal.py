@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateFit, NonPositiveWeight
 
+STOREY_LAMBDA = 0.5  # Storey's null-fraction estimate counts p-values above this
+
 
 @dataclass(frozen=True)
 class ScorePairs:
@@ -210,17 +212,16 @@ def bh(pvals: np.ndarray, alpha: float) -> RejectionSet:
     return _step_up(np.asarray(pvals, dtype=np.float64), alpha, alpha)
 
 
-def storey_bh(pvals: np.ndarray, alpha: float, lambda_storey: float = 0.5) -> RejectionSet:
+def storey_bh(pvals: np.ndarray, alpha: float) -> RejectionSet:
     """BH at level ``alpha / pi0_hat`` with Storey's null-fraction estimate.
 
-    ``pi0_hat = (1 + #{p_j > lambda}) / (m (1 - lambda))``, capped at 1.
+    ``pi0_hat = (1 + #{p_j > STOREY_LAMBDA}) / (m (1 - STOREY_LAMBDA))``,
+    capped at 1.
     """
     check_alpha(alpha)
-    if not 0.0 < lambda_storey < 1.0:
-        raise ConfigError("lambda_storey must lie in (0, 1)")
     p = np.asarray(pvals, dtype=np.float64)
     if len(p) == 0:
         return RejectionSet(mask=np.zeros(0, dtype=bool), alpha=alpha)
-    pi0 = (1 + int(np.count_nonzero(p > lambda_storey))) / (len(p) * (1.0 - lambda_storey))
+    pi0 = (1 + int(np.count_nonzero(p > STOREY_LAMBDA))) / (len(p) * (1.0 - STOREY_LAMBDA))
     pi0 = min(1.0, pi0)
     return _step_up(p, alpha / pi0, alpha)

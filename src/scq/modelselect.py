@@ -28,18 +28,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .conformal import RejectionSet, ScorePairs, bh, check_alpha
+from .conformal import RejectionSet, ScorePairs, bc_threshold, bh, check_alpha
 from .datamodel import InferenceData
 from .errors import AllCandidatesFailed, ConfigError, ScqError
-from .pipeline import (
-    CandidateScores,
-    SCQResult,
-    ScoreTable,
-    WeightConfig,
-    calibrate_pairs,
-    run_scq,
-    weighted_pairs,
-)
+from .pipeline import CandidateScores, SCQResult, ScoreTable, WeightConfig, run_scq, weighted_pairs
 
 DEFAULT_LAMBDA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 STAGE1_LAMBDA = 0.1
@@ -170,8 +162,7 @@ def _pseudo_rejection_count(
     coins: CoinStream,
 ) -> int:
     w, _ = table.weights(scores, weight_cfg)
-    pairs = weighted_pairs(scores, w)
-    _, _, rej = calibrate_pairs(pseudo_scores(pairs, prelim, coins), alpha)
+    _, rej = bc_threshold(pseudo_scores(weighted_pairs(scores, w), prelim, coins), alpha)
     return len(rej)
 
 

@@ -69,24 +69,19 @@ class WeightConfig:
 
 @dataclass(frozen=True)
 class CandidateScores:
-    """The conformal p-value numerators one fitted classifier induces.
+    """Everything a run reads about one fitted classifier.
 
-    The test and mirror p-values of unit ``j`` are ``num[j] / (n_cal + 1)``
-    and ``num_tilde[j] / (n_cal + 1)``.
+    ``cal``, ``test`` and ``mirror`` are its scores of the three batches;
+    ``p`` and ``p_tilde`` are the conformal p-values of the test and mirror
+    scores, numerators over ``len(cal) + 1``.
     """
 
     spec: ClassifierSpec
-    num: np.ndarray
-    num_tilde: np.ndarray
-    n_cal: int
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.num / (self.n_cal + 1)
-
-    @property
-    def p_tilde(self) -> np.ndarray:
-        return self.num_tilde / (self.n_cal + 1)
+    cal: np.ndarray
+    test: np.ndarray
+    mirror: np.ndarray
+    p: np.ndarray
+    p_tilde: np.ndarray
 
 
 def _kde_half(model: ScoreModel, half: str) -> ScoreModel:
@@ -141,13 +136,12 @@ class ScoreTable:
         return self._entries[key]
 
     def model(self, spec: ClassifierSpec) -> ScoreModel:
-        """The fit of ``spec``; a PUC fit reads ``rows`` as its pool."""
-        train, outliers = self.data.split.train, self.data.labeled_outliers
-        return self._cached(("model", spec), lambda: fit_score(spec, train, outliers, self.rows))
+        """A fit of ``spec``; a PUC fit reads ``rows`` as its pool."""
+        return fit_score(spec, self.data.split.train, self.data.labeled_outliers, self.rows)
 
-    def batch_scores(self, spec: ClassifierSpec) -> tuple:
-        """Scores ``(cal, test, mirror)`` under ``spec``, cut from one
-        scoring of ``rows``; a score depends on its row alone.
+    def scores(self, spec: ClassifierSpec) -> CandidateScores:
+        """The scores and p-values of ``spec``, cut from one scoring of
+        ``rows``; a score depends on its row alone.
 
         The train-null KDE is fitted on the same rows at the same bandwidth
         by OCC/kde and by PUC/kde-ratio, so its density of ``rows`` is
@@ -165,18 +159,15 @@ class ScoreTable:
                 if spec.method == "kde-ratio":
                     s = s - score_batch(_kde_half(model, "mix_kde"), self.rows)
             m = self.data.m
-            return s[2 * m :], s[:m], s[m : 2 * m]
-
-        return self._cached(("batches", spec), make)
-
-    def scores(self, spec: ClassifierSpec) -> CandidateScores:
-        def make():
-            s_cal, s_test, s_mirror = self.batch_scores(spec)
+            cal, test, mirror = s[2 * m :], s[:m], s[m : 2 * m]
+            n = len(cal) + 1
             return CandidateScores(
                 spec=spec,
-                num=conformal_pvalues(s_cal, s_test),
-                num_tilde=conformal_pvalues(s_cal, s_mirror),
-                n_cal=len(s_cal),
+                cal=cal,
+                test=test,
+                mirror=mirror,
+                p=conformal_pvalues(cal, test) / n,
+                p_tilde=conformal_pvalues(cal, mirror) / n,
             )
 
         return self._cached(("scores", spec), make)
@@ -192,22 +183,18 @@ class ScoreTable:
 
 
 def weighted_pairs(
-    scores: CandidateScores,
-    w: np.ndarray,
-    jitter: bool = False,
-    rng: Optional[np.random.Generator] = None,
+    scores: CandidateScores, w: np.ndarray, rng: Optional[np.random.Generator] = None
 ) -> ScorePairs:
-    """Weighted score pairs; optional jitter breaks exact p-value ties.
+    """Weighted score pairs; a generator ``rng`` jitters away exact p-value ties.
 
     Jitter adds ``u / (JITTER_SCALE * (N + 1))`` with independent uniform
-    ``u`` to every p-value before weighting, small enough never to cross a
-    grid step.  It destroys exact swap invariance and is off by default.
+    ``u`` drawn from ``rng`` to every p-value before weighting, small
+    enough never to cross a grid step.  It destroys exact swap invariance,
+    so it is off unless a generator is given.
     """
     p, p_tilde = scores.p, scores.p_tilde
-    if jitter:
-        if rng is None:
-            raise ConfigError("jitter requires a random generator")
-        step = 1.0 / (JITTER_SCALE * (scores.n_cal + 1))
+    if rng is not None:
+        step = 1.0 / (JITTER_SCALE * (len(scores.cal) + 1))
         p = p + rng.random(len(p)) * step
         p_tilde = p_tilde + rng.random(len(p_tilde)) * step
     return build_pairs(p, p_tilde, w)
@@ -240,37 +227,31 @@ class SCQResult:
         }
 
 
-def calibrate_pairs(pairs: ScorePairs, alpha: float):
-    """Q-values, threshold, and rejections for prepared pairs."""
-    q = scq_qvalues(pairs)
-    tau, _ = bc_threshold(pairs, alpha)
-    return q, tau, scq_reject(q, alpha)
-
-
 def run_scq(
     data: Union[InferenceData, ScoreTable],
     classifier: ClassifierSpec,
     weight_cfg: WeightConfig,
     alpha: float,
-    jitter: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> SCQResult:
     """Full structure-adaptive run with one fixed classifier.
 
     ``data`` may be a :class:`ScoreTable`, whose fits and weights the run
     then reuses; the table also keeps the result, so the same classifier,
-    weight setting and ``alpha`` give the same result object again.  Runs
-    with jitter, whose ``rng`` is no setting, are not kept.
+    weight setting and ``alpha`` give the same result object again.  A
+    generator ``rng`` jitters the p-values (:func:`weighted_pairs`); such
+    runs, whose ``rng`` is no setting, are not kept.
     """
     table = ScoreTable.of(data)
 
     def run():
         scores = table.scores(classifier)
         w, est = table.weights(scores, weight_cfg)
-        pairs = weighted_pairs(scores, w, jitter=jitter, rng=rng)
-        q, tau, rej = calibrate_pairs(pairs, alpha)
+        pairs = weighted_pairs(scores, w, rng)
+        q = scq_qvalues(pairs)
+        tau, _ = bc_threshold(pairs, alpha)
         return SCQResult(
-            rejection=rej,
+            rejection=scq_reject(q, alpha),
             qvalues=q,
             tau=tau,
             pairs=pairs,
@@ -280,7 +261,7 @@ def run_scq(
             sparsity=est,
         )
 
-    if jitter:
+    if rng is not None:
         return run()
     return table._cached(("run", classifier, weight_cfg, alpha), run)
 
@@ -297,7 +278,7 @@ def run_cfbh(
     the calibration scores in ranking the test scores.  ``data`` may be a
     :class:`ScoreTable`, whose scores of the three batches the run reads.
     """
-    s_cal, s_test, s_mirror = ScoreTable.of(data).batch_scores(classifier)
-    s_null = np.concatenate([s_cal, s_mirror])
-    p = conformal_pvalues(s_null, s_test) / (len(s_null) + 1)
+    scores = ScoreTable.of(data).scores(classifier)
+    s_null = np.concatenate([scores.cal, scores.mirror])
+    p = conformal_pvalues(s_null, scores.test) / (len(s_null) + 1)
     return storey_bh(p, alpha) if storey else bh(p, alpha)

@@ -77,7 +77,7 @@ def verify_swap_invariance(
 
 
 def candidate_pvalues(data: InferenceData, spec: ClassifierSpec) -> CandidateScores:
-    """Fit one classifier and compute the (test, mirror) p-value numerators."""
+    """Fit one classifier and compute its scores and (test, mirror) p-values."""
     return ScoreTable(data).scores(spec)
 
 

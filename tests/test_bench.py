@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import attainment_config, count_calls, run_replications
-from scq import bench, modelselect, pipeline, scoring, weights
+from scq import bench, conformal, modelselect, scoring, weights
 from scq.bench import (
     METHOD_KEYS,
     MethodSpec,
@@ -177,8 +177,8 @@ class TestSharedScoreTable:
         assert len(estimates) == 2 * 3
 
     def test_ptams_reuses_the_scq_run(self, monkeypatch):
-        # scq and ptams each calibrate once, bc-unweighted once, and ptams's
-        # two pseudo counts once each; ptams's final run is the scq run
+        # one threshold each for the scq run, the bc-unweighted run and
+        # ptams's two pseudo counts; ptams's final run is the scq run
         traces = []
 
         def recording_ptams(*args, **kwargs):
@@ -187,7 +187,7 @@ class TestSharedScoreTable:
             return trace, result
 
         monkeypatch.setattr(bench, "ptams", recording_ptams)
-        calibrations = count_calls(monkeypatch, pipeline.calibrate_pairs)
+        calibrations = count_calls(monkeypatch, conformal.bc_threshold)
         cfg = paper_synthetic_config(m=500, p=5, mu=3.0)
         _, outcomes = _replicate_once((tuple(REPLICATE_METHODS), cfg, 0.1, 0.5, 1, 0))
         assert not any(isinstance(o, Exception) for o in outcomes)

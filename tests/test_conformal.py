@@ -301,14 +301,14 @@ class TestBH:
 class TestStoreyBH:
     def test_tiny_pvalues_more_rejections(self):
         p = [0.001] * 20
-        assert len(storey_bh(p, 0.05, 0.5)) >= len(bh(p, 0.05))
+        assert len(storey_bh(p, 0.05)) >= len(bh(p, 0.05))
 
     def test_cap_reduces_to_bh(self):
         p = [0.01, 0.02, 0.8, 0.9]
         # pi0 = (1 + 2) / (4 * 0.5) = 1.5, capped to 1
-        np.testing.assert_array_equal(storey_bh(p, 0.05, 0.5).mask, bh(p, 0.05).mask)
+        np.testing.assert_array_equal(storey_bh(p, 0.05).mask, bh(p, 0.05).mask)
 
     def test_mostly_null_matches_bh(self):
         rng = np.random.default_rng(3)
         p = rng.uniform(size=50)
-        assert np.all(storey_bh(p, 0.1, 0.5).mask >= bh(p, 0.1).mask)
+        assert np.all(storey_bh(p, 0.1).mask >= bh(p, 0.1).mask)

@@ -48,7 +48,7 @@ class TestWeightModes:
     def test_unit_mode_uses_raw_pvalues(self):
         data = make_synthetic_data(m=50, p=2, mu=3.0, seed=0)
         res = run_scq(data, GAUSS, WeightConfig(mode="unit"), alpha=0.1)
-        np.testing.assert_array_equal(res.pairs.v, res.scores.num / (res.scores.n_cal + 1))
+        np.testing.assert_array_equal(res.pairs.v, res.scores.p)
         np.testing.assert_array_equal(res.pairs.vt, res.scores.p_tilde)
         assert res.sparsity is None
 
@@ -90,18 +90,11 @@ class TestJitter:
         plain = run_scq(data, GAUSS, WeightConfig(mode="unit"), alpha=0.1)
         assert plain.num_tied_pairs > 0  # discrete p-values tie often
         rng = np.random.default_rng(3)
-        jittered = run_scq(
-            data, GAUSS, WeightConfig(mode="unit"), alpha=0.1, jitter=True, rng=rng
-        )
+        jittered = run_scq(data, GAUSS, WeightConfig(mode="unit"), alpha=0.1, rng=rng)
         assert jittered.num_tied_pairs == 0
         # perturbation is smaller than one grid step
         shift = jittered.pairs.v - plain.pairs.v
-        assert np.all((0.0 <= shift) & (shift < 1.0 / (plain.scores.n_cal + 1)))
-
-    def test_jitter_requires_rng(self):
-        data = make_synthetic_data(m=20, p=2, mu=1.0, seed=4)
-        with pytest.raises(ConfigError):
-            run_scq(data, GAUSS, WeightConfig(mode="unit"), alpha=0.1, jitter=True)
+        assert np.all((0.0 <= shift) & (shift < 1.0 / (len(plain.scores.cal) + 1)))
 
 
 class TestReportDict:
@@ -175,8 +168,8 @@ class TestSharedNullDensity:
         assert len(densities) == 1 + 1  # one null and one mixture KDE
         for spec, got in zip(order, shared):
             fresh = ScoreTable(data).scores(spec)
-            np.testing.assert_array_equal(got.num, fresh.num)
-            np.testing.assert_array_equal(got.num_tilde, fresh.num_tilde)
+            np.testing.assert_array_equal(got.p, fresh.p)
+            np.testing.assert_array_equal(got.p_tilde, fresh.p_tilde)
 
     def test_other_bandwidth_shares_nothing(self, monkeypatch):
         data = make_synthetic_data(m=97, p=3, mu=2.0, seed=9)
@@ -187,8 +180,8 @@ class TestSharedNullDensity:
         got = table.scores(narrow)
         assert len(densities) == 1 + 1 + 1
         fresh = ScoreTable(data).scores(narrow)
-        np.testing.assert_array_equal(got.num, fresh.num)
-        np.testing.assert_array_equal(got.num_tilde, fresh.num_tilde)
+        np.testing.assert_array_equal(got.p, fresh.p)
+        np.testing.assert_array_equal(got.p_tilde, fresh.p_tilde)
 
 
 class TestRunMemo:
@@ -209,8 +202,8 @@ class TestRunMemo:
         table = ScoreTable(make_synthetic_data(m=60, p=2, mu=3.0, seed=11))
         unit = WeightConfig(mode="unit")
         rng = np.random.default_rng(0)
-        a = run_scq(table, GAUSS, unit, alpha=0.1, jitter=True, rng=rng)
-        b = run_scq(table, GAUSS, unit, alpha=0.1, jitter=True, rng=rng)
+        a = run_scq(table, GAUSS, unit, alpha=0.1, rng=rng)
+        b = run_scq(table, GAUSS, unit, alpha=0.1, rng=rng)
         assert a is not b and not np.array_equal(a.pairs.v, b.pairs.v)
         oracle = WeightConfig(mode="oracle")
         assert run_scq(table, GAUSS, oracle, alpha=0.1) is run_scq(table, GAUSS, oracle, alpha=0.1)
