@@ -56,7 +56,7 @@ def _read_config(args, schema: dict) -> dict:
     if args.config is None:
         raise ConfigError("--config is required for this command")
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc

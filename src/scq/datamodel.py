@@ -383,7 +383,7 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
     side column get positional side info ``1..m`` in file order.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)

@@ -5,9 +5,10 @@ CLI all share.  A run takes an :class:`~scq.datamodel.InferenceData`
 bundle, fits one classifier, converts calibration ranks into p-value
 pairs, learns weights, and thresholds the weighted pairs by mirror
 calibration.  :class:`ScoreTable` alone stacks the test, mirror and
-calibration rows, the pool of a PUC fit and every scorer's one batch.
-Weights are float64
-arrays, one entry per unit.  Baseline runs (unweighted thresholding,
+calibration rows, the pool of a PUC fit and every scorer's one batch, and
+it keeps one :class:`CandidateScores` per classifier: the scores and
+p-values every run of that classifier reads.  Weights are float64 arrays,
+one entry per unit.  Baseline runs (unweighted thresholding,
 plain/Storey BH on conformal p-values) live here too.  Runs on one
 dataset can share a :class:`ScoreTable`, so methods that use the same
 classifier fit and score it once: every entry point takes the data or a
@@ -109,12 +110,14 @@ class ScoreTable:
 
     ``rows`` stacks the test, mirror and calibration rows once: the pool of
     every PUC fit and the one batch each classifier is scored on, in one
-    call.  Each classifier is fitted and scored once, and each (classifier,
-    weight setting) gets one weight vector, however many methods ask.  OCC/kde and PUC/kde-ratio
-    at one ``bandwidth`` hyperparameter share the train-null KDE density
-    of ``rows``, and :func:`run_scq` calibrates each (classifier, weight
-    setting, alpha) once.  The entries live in one dict whose keys are the
-    settings themselves.  A table belongs to one
+    call.  Each classifier is fitted and scored once, into one
+    :class:`CandidateScores` entry, and each (classifier, weight setting)
+    gets one weight vector, however many methods ask.  OCC/kde and
+    PUC/kde-ratio at one ``bandwidth`` hyperparameter share the train-null
+    KDE density of ``rows``, and :func:`run_scq` calibrates each
+    (classifier, weight setting, alpha) once; runs given a generator, which
+    jitters them, are not kept.  The entries live in one dict whose keys
+    are the settings themselves.  A table belongs to one
     :class:`~scq.datamodel.InferenceData` and lives as long as the caller
     keeps it: one replication in the bench, one run elsewhere.  A failed
     fit or estimate is not stored, so asking again raises again.

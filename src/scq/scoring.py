@@ -55,7 +55,10 @@ FAMILIES = {
     "PUC": {"kde-ratio": _BANDWIDTH, "pu-logistic": _DESCENT},
 }
 
-LOG_DENSITY_FLOOR = -745.0  # log of the smallest positive double
+# log of the smallest positive double; a KDE log density is floored at this
+# times the feature count, one smallest double per coordinate, so that rows
+# far from every reference row in wide data keep distinct scores
+LOG_DENSITY_FLOOR = -745.0
 # Distance blocks hold a multiple of _BLOCK_ROWS rows, as many as fit in
 # _BLOCK_ENTRIES entries (two buffers near 1 MB, inside L2).
 _BLOCK_ROWS = 48
@@ -223,7 +226,7 @@ def _kde_logpdf(params: dict, x: np.ndarray) -> np.ndarray:
         out[rows] = _logsumexp_rows(a)
     n = params["train"].shape[0]
     out -= float(np.sum(np.log(h * np.sqrt(2.0 * np.pi)))) + np.log(n)
-    return np.maximum(out, LOG_DENSITY_FLOOR, out=out)
+    return np.maximum(out, LOG_DENSITY_FLOOR * len(h), out=out)
 
 
 def _knn_k(spec_k: Optional[int], n_train: int) -> int:

@@ -21,7 +21,12 @@ the units are binned onto the lattice, with duplicates added, and convolved
 by FFT with the kernel evaluated at each integer offset, in O(m log m).  The
 kernel is evaluated at the same scaled distances ``(s_i - s_j) / h`` as on
 the dense path, so the two paths differ only in summation order, at
-roundoff.  Any other positions take the dense O(m^2) path in row chunks.
+roundoff.  Any other positions take the dense O(m^2) path, which evaluates
+the kernel and multiplies in products of one shape: ``_KERNEL_ROWS``
+positions, the last tile zero-padded, times as many units as fit in
+``_TILE_MACS`` multiply-adds, a size OpenBLAS runs on one thread.  The
+column-tile products are added in order, so the sums do not depend on the
+BLAS thread count, and memory stays flat in m.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ import numpy as np
 
 from .datamodel import SideInfo, write_csv
 from .errors import ConfigError, PiOutOfRange
+from .scoring import _TILE_MACS
 
 EPS_PI = 1e-3
-_KERNEL_CHUNK = 512
+_KERNEL_ROWS = 64  # positions per dense kernel tile, the last tile zero-padded
 # Lattice positions take the FFT path while their span stays below this
 # multiple of m, which keeps the convolution grid O(m).
 _LATTICE_SPAN_PER_UNIT = 16
@@ -79,11 +85,17 @@ def neighbour_sums(side: SideInfo, bandwidth: Optional[float], x: np.ndarray) ->
         spectrum = np.fft.rfft(taps, n).reshape((-1,) + (1,) * (x.ndim - 1))
         conv = np.fft.irfft(np.fft.rfft(_binned(idx, x, g), n, axis=0) * spectrum, n, axis=0)
         return conv[idx + g - 1]
-    out = np.empty_like(x)
-    for start in range(0, m, _KERNEL_CHUNK):
-        rows = slice(start, start + _KERNEL_CHUNK)
-        out[rows] = _gaussian((s[rows, None] - s[None, :]) / bandwidth, bandwidth) @ x
-    return out
+    xs = x if x.ndim == 2 else x[:, None]
+    cols = max(1, _TILE_MACS // (_KERNEL_ROWS * xs.shape[1]))
+    rows = np.zeros(-(-m // _KERNEL_ROWS) * _KERNEL_ROWS)
+    rows[:m] = s
+    out = np.zeros((len(rows), xs.shape[1]))
+    for lo in range(0, m, _KERNEL_ROWS):
+        tile = rows[lo : lo + _KERNEL_ROWS, None]
+        for c in range(0, m, cols):
+            kernel = _gaussian((tile - s[c : c + cols]) / bandwidth, bandwidth)
+            out[lo : lo + _KERNEL_ROWS] += kernel @ xs[c : c + cols]
+    return out[:m].reshape(x.shape)
 
 
 @dataclass(frozen=True)

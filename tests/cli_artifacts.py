@@ -8,10 +8,12 @@ The runs are the criterion-12 fixture at ``--seed 9``; ``infer``,
 ``select`` and ``select --plus`` on ``paper_synthetic_config(500, 3, 3.0)``
 CSVs with positional and with group side info; ``infer`` with OCC/gaussian
 and ``select --plus`` on the same test set with jittered non-integral
-positions, whose kernel weights take the dense path; ``infer`` with PUC/kde-ratio
-on a ``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose 7,000-row mixture
-reference gives distance products of a size OpenBLAS splits among threads
-unless they are tiled; ``simulate`` over all five pipelines (oracle weights
+positions, whose kernel weights take the dense path; ``infer`` with
+PUC/kde-ratio on a ``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose
+7,000-row mixture reference gives distance products of a size OpenBLAS
+splits among threads unless they are tiled; ``infer`` with OCC/gaussian on
+those 3,000 units with jittered positions, whose dense kernel sums are
+of such a size too; ``simulate`` over all five pipelines (oracle weights
 included) at 1 and 2 workers; and ``report`` over the simulations.  Each
 run writes into its own subdirectory of ``OUT`` and leaves its exit code,
 stdout and stderr in ``console.txt`` there.  The CLI runs in-process from
@@ -133,10 +135,15 @@ def main(out_dir: str) -> None:
     run("select-plus-jittered", ["select", jittered, "--plus", "--config", cfg, "--seed", "4"])
 
     rng = np.random.default_rng(np.random.SeedSequence([3000, 3]))
-    save_csv(*generate_hierarchical(paper_synthetic_config(3000, 3, 3.0), rng), "data-3000.csv")
+    pool, test = generate_hierarchical(paper_synthetic_config(3000, 3, 3.0), rng)
+    save_csv(pool, test, "data-3000.csv")
+    jittered = SideInfo("position", np.arange(1, test.m + 1) + rng.uniform(-0.3, 0.3, test.m))
+    save_csv(pool, TestSet(test.features, jittered, test.truth, test.pi), "data-3000-jittered.csv")
     ratio = {"family": "PUC", "method": "kde-ratio"}
     cfg = write_json("infer-large.json", {"classifier": ratio, "alpha": 0.1})
     run("infer-large-PUC-kde-ratio", ["infer", "data-3000.csv", "--config", cfg, "--seed", "4"])
+    large_jittered = ["infer", "data-3000-jittered.csv", "--config", gauss_cfg, "--seed", "4"]
+    run("infer-large-jittered-OCC-gaussian", large_jittered)
 
     for threads in (1, 2):
         cfg = write_json("simulate.json", {**SIMULATE, "threads": threads})

@@ -248,6 +248,19 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config {cfg}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("bom_file", ["data", "config"])
+    def test_utf8_byte_order_mark_reads_the_same(self, tmp_path, infer_config, bom_file):
+        # spreadsheet exports often start with a UTF-8 BOM
+        data = tmp_path / "signal.csv"
+        write_signal_csv(data)
+        argv = ["infer", str(data), "--config", str(infer_config)]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        path = data if bom_file == "data" else infer_config
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(argv + ["--out", str(tmp_path / "bom")]) == 0
+        for name in ("report.json", "weights.csv"):
+            assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
     def test_no_test_rows_exit_one(self, tmp_path, infer_config, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("__role__,f0\n" + "\n".join(["train-null,0.5"] * 5) + "\n")

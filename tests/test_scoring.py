@@ -16,7 +16,15 @@ from scipy import special, stats
 
 from helpers import make_synthetic_data, score, swap_inference_pairs, verify_swap_invariance
 from scq import scoring
-from scq.datamodel import InferenceData, NullSplit, SideInfo, TestSet
+from scq.bench import paper_synthetic_config
+from scq.datamodel import (
+    InferenceData,
+    NullSplit,
+    SideInfo,
+    TestSet,
+    generate_hierarchical,
+    split_nulls,
+)
 from scq.errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
 from scq.pipeline import ScoreTable, WeightConfig, run_scq
 from scq.scoring import (
@@ -205,6 +213,16 @@ class TestKde:
             np.zeros((3, 1)),
         )
         assert score(model, np.array([1e6])) == -745.0
+
+    def test_wide_features_keep_rejections(self):
+        # at p = 128 most rows' densities lie below the smallest double; a
+        # floor of -745 ties them all and rejects nothing, while a floor of
+        # -745 per coordinate keeps them apart
+        cfg = paper_synthetic_config(1000, 128, 1.0)
+        pool, test = generate_hierarchical(cfg, np.random.default_rng(7))
+        data = InferenceData(split=split_nulls(pool, test.m, np.random.default_rng(8)), test=test)
+        res = run_scq(data, ClassifierSpec("OCC", "kde"), WeightConfig(), alpha=0.1)
+        assert len(res.rejection) >= 100
 
 
 class TestLogsumexpRows:

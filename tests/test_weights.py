@@ -1,5 +1,10 @@
 """Neighborhood sums, sparsity screening, and the odds transforms."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +110,68 @@ class TestWeightMatrix:
         a = matrix(side)
         b = matrix(SideInfo("group", [1, 2, 1]))
         np.testing.assert_array_equal(a, b)
+
+
+DENSE_CANARY = """
+import hashlib, sys
+import numpy as np
+from scq.datamodel import SideInfo
+from scq.weights import estimate_sparsity
+m = int(sys.argv[1])
+rng = np.random.default_rng(0)
+side = SideInfo("position", np.arange(1, m + 1) + rng.uniform(-0.3, 0.3, m))
+p, p_tilde = rng.random((2, m))
+est = estimate_sparsity(side, None, p, p_tilde, 0.1)
+print(hashlib.sha256(est.raw.tobytes() + est.pi_hat.tobytes()).hexdigest())
+"""
+
+
+def jittered_estimate_inputs(m, seed=0):
+    """Jittered positions 1..m and random p-values, as ``DENSE_CANARY`` draws them."""
+    rng = np.random.default_rng(seed)
+    side = SideInfo("position", np.arange(1, m + 1) + rng.uniform(-0.3, 0.3, m))
+    p, p_tilde = rng.random((2, m))
+    return side, p, p_tilde
+
+
+class TestDenseKernel:
+    """Irregular positions: kernel sums over tiles of one shape."""
+
+    def test_tiles_match_the_dense_oracle(self):
+        # 300 units make five row tiles, the last one padded; 40 columns
+        # make column tiles of 102 units, the last one short
+        side, _, _ = jittered_estimate_inputs(300, seed=1)
+        omega = dense(side, 3.0)
+        x = np.random.default_rng(2).random((300, 40))
+        for xs in (x, x[:, :2], x[:, 0]):
+            got = neighbour_sums(side, 3.0, xs)
+            assert got.shape == xs.shape
+            np.testing.assert_allclose(got, omega.T @ xs, rtol=1e-12)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        """A one-shot product of 512 positions by 3,000 units is large enough
+        for OpenBLAS to split among threads, which moves last bits; the
+        kernel tiles keep every product on one thread."""
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+            run = subprocess.run(
+                [sys.executable, "-c", DENSE_CANARY, "3000"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
+
+    def test_peak_memory_flat_in_m(self):
+        # a 512-unit row chunk of the kernel at m = 10^4 alone would take 39 MB
+        side, p, p_tilde = jittered_estimate_inputs(10_000)
+        tracemalloc.start()
+        try:
+            estimate_sparsity(side, None, p, p_tilde, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MB"
 
 
 class TestEstimateSparsity:
