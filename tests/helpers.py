@@ -131,6 +131,15 @@ def dense(side: SideInfo, bandwidth: Optional[float]) -> np.ndarray:
     return np.exp(-0.5 * d * d) / (bandwidth * np.sqrt(2.0 * np.pi))
 
 
+def jittered_estimate_inputs(m: int, seed: int = 0):
+    """Positions ``1..m`` jittered by U(-0.3, 0.3), which take the dense
+    kernel path, and uniform test and mirror p-values."""
+    rng = np.random.default_rng(seed)
+    side = SideInfo("position", np.arange(1, m + 1) + rng.uniform(-0.3, 0.3, m))
+    p, p_tilde = rng.random((2, m))
+    return side, p, p_tilde
+
+
 def qvalues_bruteforce(pairs: ScorePairs) -> list:
     """Evaluate H at every grid point at or above v_j and take the minimum."""
     v, vt = pairs.v.tolist(), pairs.vt.tolist()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import candidate_pvalues, dense, make_synthetic_data
+from helpers import candidate_pvalues, dense, jittered_estimate_inputs, make_synthetic_data
 from scq import weights
 from scq.datamodel import SideInfo
 from scq.errors import ConfigError, PiOutOfRange
@@ -114,24 +114,12 @@ class TestWeightMatrix:
 
 DENSE_CANARY = """
 import hashlib, sys
-import numpy as np
-from scq.datamodel import SideInfo
+from helpers import jittered_estimate_inputs
 from scq.weights import estimate_sparsity
-m = int(sys.argv[1])
-rng = np.random.default_rng(0)
-side = SideInfo("position", np.arange(1, m + 1) + rng.uniform(-0.3, 0.3, m))
-p, p_tilde = rng.random((2, m))
+side, p, p_tilde = jittered_estimate_inputs(int(sys.argv[1]))
 est = estimate_sparsity(side, None, p, p_tilde, 0.1)
 print(hashlib.sha256(est.raw.tobytes() + est.pi_hat.tobytes()).hexdigest())
 """
-
-
-def jittered_estimate_inputs(m, seed=0):
-    """Jittered positions 1..m and random p-values, as ``DENSE_CANARY`` draws them."""
-    rng = np.random.default_rng(seed)
-    side = SideInfo("position", np.arange(1, m + 1) + rng.uniform(-0.3, 0.3, m))
-    p, p_tilde = rng.random((2, m))
-    return side, p, p_tilde
 
 
 class TestDenseKernel:
@@ -163,7 +151,7 @@ class TestDenseKernel:
         assert digests[0] == digests[1]
 
     def test_peak_memory_flat_in_m(self):
-        # a 512-unit row chunk of the kernel at m = 10^4 alone would take 39 MB
+        # the whole kernel at m = 10^4 would take 763 MB, and 512 rows of it 39 MB
         side, p, p_tilde = jittered_estimate_inputs(10_000)
         tracemalloc.start()
         try:
