@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Optional
 
@@ -39,6 +40,12 @@ ROLE_TRAIN_OUTLIER = "train-outlier"
 ROLE_TEST = "test"
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
+# the loader's codes for the reserved cells; label code 2 is an empty label
+_ROLE_CODES = {ROLE_TRAIN_NULL: 0, ROLE_TRAIN_OUTLIER: 1, ROLE_TEST: 2}
+_LABEL_CODES = {"0": 0, "1": 1, "": 2}
+# ASCII separators that np.loadtxt strips as whitespace and float() rejects
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_CHUNK = 1 << 20  # characters per read of the separator scan
 
 
 def _as_matrix(rows, p: Optional[int] = None) -> np.ndarray:
@@ -381,14 +388,20 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
     side information (integer literals form groups, anything else is
     positional).  All remaining columns are features.  Test rows without a
     side column get positional side info ``1..m`` in file order.
+
+    A feature cell is valid when ``float()`` reads it as a finite number.
+    The file is streamed: one :mod:`csv` pass keeps the reserved cells and
+    one ``np.loadtxt`` pass reads the feature columns into one array.
+    Where that may differ from ``float()`` (``"1_0"``, ``"١"``, a quoted
+    number, a non-finite value, a malformed row), every cell is parsed
+    with ``float()`` instead, and the first bad row raises.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
+    return _assemble(*(_stream(path) or _parse_cells(path)))
+
+
+def _columns(header) -> tuple:
+    """The role, label and side column indices of ``header`` (``None`` when
+    absent) and the list of its feature column indices."""
     if header is None:
         raise SchemaMismatch("empty file: no header row")
     if ROLE_COLUMN not in header:
@@ -400,63 +413,108 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
     feat_is = [i for i in range(len(header)) if i not in reserved]
     if not feat_is:
         raise SchemaMismatch("no feature columns found")
+    return role_i, label_i, side_i, feat_is
 
-    inliers, outliers, test_rows, test_sides, test_labels = [], [], [], [], []
+
+def _keep_reserved(row, r: int, columns: tuple, roles, sides: list, labels) -> None:
+    """Append row ``r``'s role code and, for a test row, its side cell and label code."""
+    role_i, label_i, side_i, _ = columns
+    role = row[role_i].strip()
+    code = _ROLE_CODES.get(role)
+    if code is None:
+        raise ParseError(f"row {r}: unknown role {role!r}")
+    roles.append(code)
+    if code == _ROLE_CODES[ROLE_TEST]:
+        if side_i is not None:
+            sides.append(row[side_i].strip())
+        lab = row[label_i].strip() if label_i is not None else ""
+        if lab not in _LABEL_CODES:
+            raise ParseError(f"row {r}: label must be 0, 1, or empty, got {lab!r}")
+        labels.append(_LABEL_CODES[lab])
+
+
+def _stream(path) -> Optional[tuple]:
+    """Read ``path`` in two streamed passes without a list per row, or
+    return ``None`` where :func:`_parse_cells` must decide."""
+    roles, sides, labels = bytearray(), [], bytearray()
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            chunks = iter(partial(fh.read, _CHUNK), "")
+            if any(sep in chunk for chunk in chunks for sep in _SEPARATORS):
+                return None
+            fh.seek(0)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            columns = _columns(header)
+            for r, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    return None
+                _keep_reserved(row, r, columns, roles, sides, labels)
+            features = np.empty((0, len(columns[3])))
+            if roles:
+                fh.seek(0)
+                features = np.loadtxt(
+                    fh, delimiter=",", skiprows=1, usecols=columns[3], dtype=np.float64,
+                    comments=None, ndmin=2,
+                )
+    except (OSError, ValueError, csv.Error, SchemaMismatch, ParseError):
+        return None
+    if features.shape[0] != len(roles) or not np.isfinite(features).all():
+        return None
+    return features, roles, sides, labels
+
+
+def _parse_cells(path) -> tuple:
+    """Parse every cell of ``path`` with ``float()``, raising the error of
+    the first bad row."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
+    columns = _columns(header)
+    feat_is = columns[3]
+    features, roles, sides, labels = [], bytearray(), [], bytearray()
     for r, row in enumerate(rows, start=2):  # 1-based with header on line 1
         if len(row) != len(header):
             raise ParseError(f"row {r}: expected {len(header)} cells, got {len(row)}")
-        feats = [_parse_feature(row[i], r, header[i]) for i in feat_is]
-        role = row[role_i].strip()
-        if role == ROLE_TRAIN_NULL:
-            inliers.append(feats)
-        elif role == ROLE_TRAIN_OUTLIER:
-            outliers.append(feats)
-        elif role == ROLE_TEST:
-            test_rows.append(feats)
-            test_sides.append(row[side_i].strip() if side_i is not None else None)
-            lab = row[label_i].strip() if label_i is not None else ""
-            if lab == "":
-                test_labels.append(None)
-            elif lab in ("0", "1"):
-                test_labels.append(lab == "1")
-            else:
-                raise ParseError(f"row {r}: label must be 0, 1, or empty, got {lab!r}")
-        else:
-            raise ParseError(f"row {r}: unknown role {role!r}")
+        features.append([_parse_feature(row[i], r, header[i]) for i in feat_is])
+        _keep_reserved(row, r, columns, roles, sides, labels)
+    features = np.array(features, dtype=np.float64).reshape(len(rows), len(feat_is))
+    return features, roles, sides, labels
 
-    p = len(feat_is)
+
+def _assemble(features: np.ndarray, roles, sides: list, labels) -> tuple[LabeledPool, TestSet]:
+    """Cut the pool and the test set out of the feature rows by role, and
+    read the test rows' side cells and labels."""
+    roles = np.frombuffer(roles, dtype=np.uint8)
+    is_test = roles == _ROLE_CODES[ROLE_TEST]
     pool = LabeledPool(
-        inliers=_as_matrix(inliers, p=p),
-        outliers=_as_matrix(outliers, p=p),
+        inliers=features[roles == _ROLE_CODES[ROLE_TRAIN_NULL]],
+        outliers=features[roles == _ROLE_CODES[ROLE_TRAIN_OUTLIER]],
     )
-    m = len(test_rows)
-    if side_i is None or all(s is None for s in test_sides):
+    m = int(np.count_nonzero(is_test))
+    if not sides:  # no side column, or no test rows
         side = SideInfo("position", np.arange(1, m + 1, dtype=np.float64))
+    elif "" in sides:
+        raise ParseError("side column present but empty for some test rows")
+    elif all(_INT_RE.match(s) for s in sides):
+        try:
+            side = SideInfo("group", np.array([int(s) for s in sides], dtype=np.int64))
+        except OverflowError:
+            j = next(j for j, s in enumerate(sides) if not -(2**63) <= int(s) < 2**63)
+            r = int(np.flatnonzero(is_test)[j]) + 2
+            raise ParseError(f"row {r}: side value {sides[j]} does not fit in 64 bits") from None
     else:
-        raw = [s if s is not None else "" for s in test_sides]
-        if any(s == "" for s in raw):
-            raise ParseError("side column present but empty for some test rows")
-        if all(_INT_RE.match(s) for s in raw):
-            try:
-                side = SideInfo("group", np.array([int(s) for s in raw], dtype=np.int64))
-            except OverflowError:
-                j = next(j for j, s in enumerate(raw) if not -(2**63) <= int(s) < 2**63)
-                r = [r for r, row in enumerate(rows, 2) if row[role_i].strip() == ROLE_TEST][j]
-                raise ParseError(f"row {r}: side value {raw[j]} does not fit in 64 bits") from None
-        else:
-            try:
-                side = SideInfo("position", np.array([float(s) for s in raw]))
-            except ValueError as exc:
-                raise ParseError(f"cannot parse side values: {exc}") from exc
-    truth = None
-    if m and all(lab is not None for lab in test_labels):
-        truth = np.array(test_labels, dtype=bool)
-    test = TestSet(
-        features=_as_matrix(test_rows, p=p),
-        side=side,
-        truth=truth,
-    )
-    return pool, test
+        try:
+            side = SideInfo("position", np.array([float(s) for s in sides]))
+        except ValueError as exc:
+            raise ParseError(f"cannot parse side values: {exc}") from exc
+    labels = np.frombuffer(labels, dtype=np.uint8)
+    truth = labels == _LABEL_CODES["1"] if m and labels.max() < _LABEL_CODES[""] else None
+    return pool, TestSet(features=features[is_test], side=side, truth=truth)
 
 
 def write_csv(path, header, rows) -> None:

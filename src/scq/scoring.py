@@ -288,19 +288,24 @@ def _knn_label_mean(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Mean label of each row's k nearest columns, distance ties going to
     the smaller column index (the first k of a stable argsort).
 
-    ``partition`` finds the k-th distance; every column strictly nearer
-    is taken, and the ties at it fill the rest in column order.  The label
-    sum is an exact integer, so the means equal a full sort's bit for bit.
+    ``partition`` finds the k-th distance.  When every row has exactly k
+    columns at or within it, those are the k nearest.  Otherwise every
+    column strictly nearer is taken, and the ties at it fill the rest in
+    column order.  The label sum is an exact integer, so the means equal a
+    full sort's bit for bit.
     """
     kth = np.partition(a, k - 1, axis=1)[:, k - 1 : k]
     if np.isnan(kth).any():
         # NaN distances sort last and compare false; rank them in full
         order = np.argsort(a, axis=1, kind="stable")[:, :k]
         return labels[order].mean(axis=1)
-    near = a < kth
-    ties = a == kth
-    room = k - np.count_nonzero(near, axis=1)
-    near |= ties & (np.cumsum(ties, axis=1) <= room[:, None])
+    near = a <= kth
+    if (np.count_nonzero(near, axis=1) != k).any():
+        # some row has more than k columns within its k-th distance
+        near = a < kth
+        ties = a == kth
+        room = k - np.count_nonzero(near, axis=1)
+        near |= ties & (np.cumsum(ties, axis=1) <= room[:, None])
     return np.count_nonzero(near & (labels == 1.0), axis=1) / k
 
 
@@ -311,14 +316,23 @@ def _expit(z: np.ndarray) -> np.ndarray:
 
 
 def _logistic_gd(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
-    # full-batch gradient descent on mean log loss; zero init, no stopping rule
+    # full-batch gradient descent on mean log loss; zero init, no stopping rule.
+    # The sigmoid is _expit's, in place; np.add.reduce(g) / n is g.mean()
     n, p = x.shape
     w = np.zeros(p)
     b = 0.0
-    for _ in range(iterations):
-        g = _expit(x @ w + b) - y
-        w -= step * (x.T @ g) / n
-        b -= step * float(g.mean())
+    xt = x.T
+    with np.errstate(over="ignore"):
+        for _ in range(iterations):
+            g = x @ w
+            g += b
+            np.negative(g, out=g)
+            np.exp(g, out=g)
+            g += 1.0
+            np.divide(1.0, g, out=g)
+            g -= y
+            w -= step * (xt @ g) / n
+            b -= step * float(np.add.reduce(g) / n)
     return w, b
 
 

@@ -7,8 +7,12 @@ Usage::
 The runs are the criterion-12 fixture at ``--seed 9``; ``infer``,
 ``select`` and ``select --plus`` on ``paper_synthetic_config(500, 3, 3.0)``
 CSVs with positional and with group side info; ``infer`` with OCC/gaussian
-and ``select --plus`` on the same test set with jittered non-integral
-positions, whose kernel weights take the dense path; ``infer`` with
+on a copy of the positional CSV with LF line endings and one quoted
+feature cell, which the loader reads cell by cell where it streams the
+original, and whose ``report.json`` and ``weights.csv`` the script checks
+are the original's bytes; ``infer`` with OCC/gaussian and ``select --plus``
+on the same test set with jittered non-integral positions, whose kernel
+weights take the dense path; ``infer`` with
 PUC/kde-ratio on a ``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose
 7,000-row mixture reference gives distance products of a size OpenBLAS
 splits among threads unless they are tiled; ``infer`` with OCC/gaussian on
@@ -105,6 +109,17 @@ def synthetic_csvs() -> dict:
     return paths
 
 
+def quoted_lf_copy(src: str, dst: str) -> str:
+    """Copy the CSV ``src`` with LF line endings in place of CRLF and the
+    first test row's first feature cell in double quotes."""
+    lines = Path(src).read_bytes().decode("utf-8").split("\r\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith("test,"))
+    role, label, side, first, rest = lines[i].split(",", 4)
+    lines[i] = ",".join([role, label, side, f'"{first}"', rest])
+    Path(dst).write_bytes("\n".join(lines).encode("utf-8"))
+    return dst
+
+
 def main(out_dir: str) -> None:
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
@@ -131,6 +146,13 @@ def main(out_dir: str) -> None:
         run(f"select-{side}", ["select", data, "--config", cfg, "--seed", "4"])
         run(f"select-plus-{side}", ["select", data, "--plus", "--config", cfg, "--seed", "4"])
     gauss_cfg = "infer-OCC-gaussian.json"
+    quoted = quoted_lf_copy(csvs["position"], "data-position-quoted.csv")
+    run("infer-quoted-OCC-gaussian", ["infer", quoted, "--config", gauss_cfg, "--seed", "4"])
+    for name in ("report.json", "weights.csv"):
+        if Path("infer-quoted-OCC-gaussian", name).read_bytes() != Path(
+            "infer-position-OCC-gaussian", name
+        ).read_bytes():
+            sys.exit(f"{name} of the quoted LF copy differs from the positional CSV's")
     run("infer-jittered-OCC-gaussian", ["infer", jittered, "--config", gauss_cfg, "--seed", "4"])
     run("select-plus-jittered", ["select", jittered, "--plus", "--config", cfg, "--seed", "4"])
 

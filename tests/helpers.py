@@ -11,7 +11,9 @@ functions and serve only the tests.
 
 from __future__ import annotations
 
+import csv
 import math
+import re
 import sys
 from typing import Optional
 
@@ -20,15 +22,30 @@ import numpy as np
 from scq.bench import MethodSpec, MetricsRow, compare, paper_synthetic_config
 from scq.conformal import ScorePairs, conformal_pvalues
 from scq.datamodel import (
+    LABEL_COLUMN,
+    ROLE_COLUMN,
+    ROLE_TEST,
+    ROLE_TRAIN_NULL,
+    ROLE_TRAIN_OUTLIER,
+    SIDE_COLUMN,
     AltComponent,
     InferenceData,
+    LabeledPool,
+    NullSplit,
     SideInfo,
     SparsityBlock,
     SyntheticConfig,
+    TestSet,
     generate_hierarchical,
     split_nulls,
 )
-from scq.errors import DimensionMismatch
+from scq.errors import (
+    DimensionMismatch,
+    NonFiniteFeature,
+    ParseError,
+    SchemaMismatch,
+    UnreadableData,
+)
 from scq.pipeline import CandidateScores, ScoreTable
 from scq.scoring import ClassifierSpec, ScoreModel, score_batch
 
@@ -250,8 +267,121 @@ def swap_inference_pairs(data: InferenceData, pair_ids) -> InferenceData:
     for j in ids:
         a = j - 1
         test_feats[a], mirror[a] = mirror[a].copy(), test_feats[a].copy()
-    from scq.datamodel import NullSplit, TestSet
-
     split = NullSplit(train=data.split.train, cal=data.split.cal, mirror=mirror)
     test = TestSet(features=test_feats, side=data.test.side, truth=data.test.truth, pi=data.test.pi)
     return InferenceData(split=split, test=test, labeled_outliers=data.labeled_outliers)
+
+
+# Plain-loop references for code the package runs in faster, equivalent
+# forms; each must agree with its package version exactly.
+
+
+def logistic_gd_loop(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
+    """Gradient descent of ``scoring._logistic_gd``, one sigmoid call and
+    one ``mean`` per step."""
+    n, p = x.shape
+    w = np.zeros(p)
+    b = 0.0
+    for _ in range(iterations):
+        with np.errstate(over="ignore"):
+            g = 1.0 / (1.0 + np.exp(-(x @ w + b))) - y
+        w -= step * (x.T @ g) / n
+        b -= step * float(g.mean())
+    return w, b
+
+
+def knn_label_mean_ranked(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """``scoring._knn_label_mean`` sharing out the ties at the k-th distance
+    on every block, with or without ties."""
+    kth = np.partition(a, k - 1, axis=1)[:, k - 1 : k]
+    if np.isnan(kth).any():
+        order = np.argsort(a, axis=1, kind="stable")[:, :k]
+        return labels[order].mean(axis=1)
+    near = a < kth
+    ties = a == kth
+    room = k - np.count_nonzero(near, axis=1)
+    near |= ties & (np.cumsum(ties, axis=1) <= room[:, None])
+    return np.count_nonzero(near & (labels == 1.0), axis=1) / k
+
+
+def load_csv_by_cell(path) -> tuple:
+    """``datamodel.load_csv`` as a per-cell loop: every cell through
+    ``float()``, one list per row, the first bad row raising."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
+    if header is None:
+        raise SchemaMismatch("empty file: no header row")
+    if ROLE_COLUMN not in header:
+        raise SchemaMismatch(f"missing required column {ROLE_COLUMN!r}")
+    role_i = header.index(ROLE_COLUMN)
+    label_i = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+    side_i = header.index(SIDE_COLUMN) if SIDE_COLUMN in header else None
+    reserved = {role_i, label_i, side_i} - {None}
+    feat_is = [i for i in range(len(header)) if i not in reserved]
+    if not feat_is:
+        raise SchemaMismatch("no feature columns found")
+
+    def parse(raw, row, col):
+        try:
+            val = float(raw)
+        except ValueError as exc:
+            raise ParseError(f"row {row}: column {col!r}: cannot parse {raw!r} as float") from exc
+        if not np.isfinite(val):
+            raise NonFiniteFeature(f"row {row}: column {col!r}: non-finite feature {raw!r}")
+        return val
+
+    inliers, outliers, test_rows, test_sides, test_labels = [], [], [], [], []
+    for r, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"row {r}: expected {len(header)} cells, got {len(row)}")
+        feats = [parse(row[i], r, header[i]) for i in feat_is]
+        role = row[role_i].strip()
+        if role == ROLE_TRAIN_NULL:
+            inliers.append(feats)
+        elif role == ROLE_TRAIN_OUTLIER:
+            outliers.append(feats)
+        elif role == ROLE_TEST:
+            test_rows.append(feats)
+            test_sides.append(row[side_i].strip() if side_i is not None else None)
+            lab = row[label_i].strip() if label_i is not None else ""
+            if lab == "":
+                test_labels.append(None)
+            elif lab in ("0", "1"):
+                test_labels.append(lab == "1")
+            else:
+                raise ParseError(f"row {r}: label must be 0, 1, or empty, got {lab!r}")
+        else:
+            raise ParseError(f"row {r}: unknown role {role!r}")
+
+    def matrix(rows):
+        return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(feat_is))
+
+    pool = LabeledPool(inliers=matrix(inliers), outliers=matrix(outliers))
+    m = len(test_rows)
+    if side_i is None or all(s is None for s in test_sides):
+        side = SideInfo("position", np.arange(1, m + 1, dtype=np.float64))
+    else:
+        raw = [s if s is not None else "" for s in test_sides]
+        if any(s == "" for s in raw):
+            raise ParseError("side column present but empty for some test rows")
+        if all(re.match(r"^[+-]?\d+$", s) for s in raw):
+            try:
+                side = SideInfo("group", np.array([int(s) for s in raw], dtype=np.int64))
+            except OverflowError:
+                j = next(j for j, s in enumerate(raw) if not -(2**63) <= int(s) < 2**63)
+                r = [r for r, row in enumerate(rows, 2) if row[role_i].strip() == ROLE_TEST][j]
+                raise ParseError(f"row {r}: side value {raw[j]} does not fit in 64 bits") from None
+        else:
+            try:
+                side = SideInfo("position", np.array([float(s) for s in raw]))
+            except ValueError as exc:
+                raise ParseError(f"cannot parse side values: {exc}") from exc
+    truth = None
+    if m and all(lab is not None for lab in test_labels):
+        truth = np.array(test_labels, dtype=bool)
+    return pool, TestSet(features=matrix(test_rows), side=side, truth=truth)

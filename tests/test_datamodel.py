@@ -1,11 +1,15 @@
 """Data types, null splitting, synthetic generation, CSV round-trips."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import load_csv_by_cell
+from scq import datamodel
+from scq.bench import paper_synthetic_config
 from scq.datamodel import (
     AltComponent,
     InferenceData,
@@ -27,6 +31,7 @@ from scq.errors import (
     NonFiniteFeature,
     ParseError,
     SchemaMismatch,
+    ScqError,
 )
 
 
@@ -303,3 +308,108 @@ class TestCsv:
         _, test2 = load_csv(path)
         assert test2.side.kind == "group"
         np.testing.assert_array_equal(test2.side.values, [3, 7])
+
+
+# A small CSV with every role, labels and group sides; row 6 is the first test row
+CSV_LINES = [
+    "__role__,__label__,__side__,f0,f1",
+    "train-null,,,0.5,-1.25",
+    "train-null,,,1e-3,2",
+    "train-outlier,,,3.5,4",
+    "train-null,,,-0.0,7",
+    "test,1,4,0.25,1.5",
+    "test,0,5,2.5,-3",
+    "test,,6,1.75,0.125",
+]
+
+
+def _with_cell(text):
+    """CSV_LINES with the first test row's f0 cell replaced by ``text``."""
+    return [*CSV_LINES[:5], f"test,1,4,{text},1.5", *CSV_LINES[6:]]
+
+
+CSV_MUTATIONS = {
+    "plain": CSV_LINES,
+    **{
+        f"cell {text!r}": _with_cell(text)
+        for text in ("1_0", "١", " 1.5", "nan", "1e400", "", "1#2", '"1.5"', "1_000.5", "\x1c1.5")
+    },
+    "blank line mid-file": [*CSV_LINES[:3], "", *CSV_LINES[3:]],
+    "blank line at the end": [*CSV_LINES, ""],
+    "ragged row": [*CSV_LINES[:3], "train-null,,,1.0,2.0,3.0", *CSV_LINES[3:]],
+    "duplicate feature header": ["__role__,__label__,__side__,f0,f0", *CSV_LINES[1:]],
+    "group side beyond int64": [*CSV_LINES[:6], "test,0,99999999999999999999,2.5,-3", CSV_LINES[7]],
+    "float sides": [*CSV_LINES[:6], "test,0,5.5,2.5,-3", CSV_LINES[7]],
+    "no test rows": CSV_LINES[:5],
+    "outlier rows only": [CSV_LINES[0], CSV_LINES[3], CSV_LINES[3]],
+    "header only": CSV_LINES[:1],
+    "quoted role": [*CSV_LINES[:6], '"test",0,5,2.5,-3', CSV_LINES[7]],
+    "quoted side with a comma": [*CSV_LINES[:6], 'test,0,"5,5",2.5,-3', CSV_LINES[7]],
+    "quoted cell across lines": [*CSV_LINES[:6], 'test,0,"5', '",2.5,-3', CSV_LINES[7]],
+    # two lines numpy reads as rows of numbers, which are one csv row
+    "quoted role across numeric lines": [
+        "__side__,f0,__role__,__label__", "1,0.5,train-null,", "2,0.5,train-null,",
+        '5,0.25,"test', '",1', "6,1.5,test,0",
+    ],
+    "unknown role after a bad cell": [*_with_cell("x")[:7], "tset,,6,1.75,0.125"],
+}
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: its error's type and message, or
+    every array's dtype, shape and bytes with the side kind and truth."""
+    try:
+        pool, test = load(path)
+    except ScqError as exc:
+        return type(exc), str(exc)
+    arrays = (pool.inliers, pool.outliers, test.features, test.side.values)
+    truth = None if test.truth is None else test.truth.tolist()
+    return test.side.kind, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], truth
+
+
+class TestCsvAgreement:
+    """``load_csv`` against a per-cell reference loop, on files that take
+    the streamed path and files that must fall back to the cell parser."""
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("name", list(CSV_MUTATIONS))
+    def test_equals_the_cell_loop(self, tmp_path, name, ending):
+        path = tmp_path / "data.csv"
+        path.write_bytes((ending.join(CSV_MUTATIONS[name]) + ending).encode("utf-8"))
+        assert _outcome(load_csv, path) == _outcome(load_csv_by_cell, path)
+
+    @pytest.mark.parametrize("name", ["plain", "cell '1_0'", "ragged row"])
+    def test_byte_order_mark(self, tmp_path, name):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(CSV_MUTATIONS[name]) + "\n").encode())
+        assert _outcome(load_csv, path) == _outcome(load_csv_by_cell, path)
+
+    def test_float_accepts_what_numpy_does_not(self, tmp_path):
+        path = tmp_path / "digits.csv"
+        for text, value in (("1_0", 10.0), ("١", 1.0), ('"1.5"', 1.5)):
+            path.write_text("\n".join(_with_cell(text)) + "\n", encoding="utf-8")
+            _, test = load_csv(path)
+            assert test.features[0, 0] == value
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_plain_files_are_streamed(self, tmp_path, monkeypatch, ending):
+        calls = []
+        monkeypatch.setattr(datamodel, "_parse_cells", lambda path: calls.append(path))
+        path = tmp_path / "plain.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (ending.join(CSV_LINES) + ending).encode())
+        load_csv(path)
+        assert calls == []
+
+    def test_peak_memory_at_10k_units(self, tmp_path):
+        rng = np.random.default_rng(1)
+        pool, test = generate_hierarchical(paper_synthetic_config(10000, 5, 3.0), rng)
+        path = tmp_path / "10k.csv"
+        save_csv(pool, test, path)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded[1].features, test.features)
+        assert peak < 8e6, f"load_csv peaked at {peak / 1e6:.1f} MB"

@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from helpers import make_synthetic_data, score, swap_inference_pairs, verify_swap_invariance
+from helpers import (
+    knn_label_mean_ranked,
+    logistic_gd_loop,
+    make_synthetic_data,
+    score,
+    swap_inference_pairs,
+    verify_swap_invariance,
+)
 from scq import scoring
 from scq.bench import paper_synthetic_config
 from scq.datamodel import (
@@ -188,6 +195,23 @@ class TestKnn:
         )
         assert model.params["k"] == 5
 
+    def test_label_mean_equals_the_tie_sharing_path(self):
+        # distinct distances skip sharing out ties; integer ones and NaN rows do not
+        rng = np.random.default_rng(9)
+        labels = (rng.random(300) < 0.3).astype(float)
+        distinct = rng.random((240, 300))
+        tied = rng.integers(0, 4, (240, 300)).astype(float)
+        nan_rows = distinct.copy()
+        nan_rows[:5, :40] = np.nan
+        all_nan = distinct.copy()
+        all_nan[7] = np.nan
+        one_tied_row = distinct.copy()
+        one_tied_row[3, :20] = one_tied_row[3, 0]
+        for a in (distinct, tied, nan_rows, all_nan, one_tied_row):
+            for k in (1, 2, 17, 150, 300):
+                got = scoring._knn_label_mean(a, labels, k)
+                assert got.tobytes() == knn_label_mean_ranked(a, labels, k).tobytes()
+
 
 class TestLogistic:
     def test_bic_orientation_separable(self):
@@ -199,6 +223,25 @@ class TestLogistic:
     def test_missing_outliers(self):
         with pytest.raises(MissingOutliers):
             fit_score(ClassifierSpec("BIC", "logistic"), np.zeros((5, 1)))
+
+    def test_descent_equals_the_plain_loop_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n, p = int(rng.integers(2, 401)), int(rng.integers(1, 8))
+            n_train = int(rng.integers(1, n))
+            scale = 10.0 ** rng.uniform(-3.0, 1.5)
+            rows = scale * rng.standard_normal((n, p)) + rng.uniform(-1.0, 1.0, p)
+            train, rest = rows[:n_train], rows[n_train:]
+            hp = {"iterations": int(rng.integers(1, 601)), "step": float(rng.choice([0.01, 0.1, 1.0]))}
+            bic = fit_score(ClassifierSpec("BIC", "logistic", hp), train, outliers=rest).params
+            puc = fit_score(ClassifierSpec("PUC", "pu-logistic", hp), train, pool=rest).params
+            pool = scoring._canonical_sort(rest)
+            for params, x, y in (
+                (bic, rows, np.repeat([0.0, 1.0], [n_train, n - n_train])),
+                (puc, np.vstack([train, pool]), np.repeat([1.0, 0.0], [n_train, n - n_train])),
+            ):
+                w, b = logistic_gd_loop(x, y, hp["iterations"], hp["step"])
+                assert np.append(params["w"], params["b"]).tobytes() == np.append(w, b).tobytes()
 
 
 class TestKde:
