@@ -232,9 +232,6 @@ def run_method(
     check_alpha(alpha)
     table = ScoreTable.of(data)
     wcfg = method.weight_cfg
-    # checked here, before any fit: a selector would count it as every candidate failing
-    if wcfg.mode == "oracle" and table.data.test.pi is None:
-        raise ConfigError("oracle weights need the true signal frequencies of simulated data")
     if method.pipeline == "cfbh":
         return None, run_cfbh(table, method.classifier, alpha, storey=method.storey)
     if method.pipeline == "bc-unweighted":
@@ -300,12 +297,14 @@ def replication_table(
         raise ConfigError(f"reps must be at least 1, got {reps}")
     check_alpha(alpha)
     jobs = [(tuple(methods), cfg, alpha, train_frac, master_seed, r) for r in range(reps)]
-    if threads > 1:
+    # the pool starts every worker up front, so start no more than there are jobs
+    workers = min(threads, reps)
+    if workers > 1:
         # imported here so that runs without workers never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(_replicate_once, jobs, chunksize=max(1, reps // (4 * threads))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(_replicate_once, jobs, chunksize=max(1, reps // (4 * workers))))
     else:
         raw = [_replicate_once(job) for job in jobs]
     raw.sort(key=lambda item: item[0])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .errors import (
     NonFiniteSideInfo,
     ParseError,
     SchemaMismatch,
+    ScqError,
     UnreadableData,
     read_config,
 )
@@ -43,9 +43,7 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 # the loader's codes for the reserved cells; label code 2 is an empty label
 _ROLE_CODES = {ROLE_TRAIN_NULL: 0, ROLE_TRAIN_OUTLIER: 1, ROLE_TEST: 2}
 _LABEL_CODES = {"0": 0, "1": 1, "": 2}
-# ASCII separators that np.loadtxt strips as whitespace and float() rejects
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
-_CHUNK = 1 << 20  # characters per read of the separator scan
+_CHUNK = 1 << 14  # feature cells converted at a time
 
 
 def _as_matrix(rows, p: Optional[int] = None) -> np.ndarray:
@@ -390,13 +388,23 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
     side column get positional side info ``1..m`` in file order.
 
     A feature cell is valid when ``float()`` reads it as a finite number.
-    The file is streamed: one :mod:`csv` pass keeps the reserved cells and
-    one ``np.loadtxt`` pass reads the feature columns into one array.
-    Where that may differ from ``float()`` (``"1_0"``, ``"١"``, a quoted
-    number, a non-finite value, a malformed row), every cell is parsed
-    with ``float()`` instead, and the first bad row raises.
+    The file is streamed in one :mod:`csv` pass that keeps the reserved
+    cells and converts the feature cells with ``float()`` a chunk at a
+    time.  The first bad row raises, and a file that cannot be decoded
+    raises :class:`UnreadableData` whatever its rows hold.
     """
-    return _assemble(*(_stream(path) or _parse_cells(path)))
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                parts = _read(reader)
+            except ScqError:
+                for _ in reader:  # an undecodable line later on outranks a bad row
+                    pass
+                raise
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
+    return _assemble(*parts)
 
 
 def _columns(header) -> tuple:
@@ -433,57 +441,45 @@ def _keep_reserved(row, r: int, columns: tuple, roles, sides: list, labels) -> N
         labels.append(_LABEL_CODES[lab])
 
 
-def _stream(path) -> Optional[tuple]:
-    """Read ``path`` in two streamed passes without a list per row, or
-    return ``None`` where :func:`_parse_cells` must decide."""
-    roles, sides, labels = bytearray(), [], bytearray()
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            chunks = iter(partial(fh.read, _CHUNK), "")
-            if any(sep in chunk for chunk in chunks for sep in _SEPARATORS):
-                return None
-            fh.seek(0)
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            columns = _columns(header)
-            for r, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    return None
-                _keep_reserved(row, r, columns, roles, sides, labels)
-            features = np.empty((0, len(columns[3])))
-            if roles:
-                fh.seek(0)
-                features = np.loadtxt(
-                    fh, delimiter=",", skiprows=1, usecols=columns[3], dtype=np.float64,
-                    comments=None, ndmin=2,
-                )
-    except (OSError, ValueError, csv.Error, SchemaMismatch, ParseError):
-        return None
-    if features.shape[0] != len(roles) or not np.isfinite(features).all():
-        return None
-    return features, roles, sides, labels
-
-
-def _parse_cells(path) -> tuple:
-    """Parse every cell of ``path`` with ``float()``, raising the error of
-    the first bad row."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
+def _read(reader) -> tuple:
+    """The feature rows of ``reader`` as one array, with the role codes and
+    the test rows' side cells and label codes; the first bad row raises."""
+    header = next(reader, None)
     columns = _columns(header)
     feat_is = columns[3]
-    features, roles, sides, labels = [], bytearray(), [], bytearray()
-    for r, row in enumerate(rows, start=2):  # 1-based with header on line 1
-        if len(row) != len(header):
-            raise ParseError(f"row {r}: expected {len(header)} cells, got {len(row)}")
-        features.append([_parse_feature(row[i], r, header[i]) for i in feat_is])
-        _keep_reserved(row, r, columns, roles, sides, labels)
-    features = np.array(features, dtype=np.float64).reshape(len(rows), len(feat_is))
-    return features, roles, sides, labels
+    blocks, cells, roles, sides, labels = [], [], bytearray(), [], bytearray()
+    r0 = 2  # the row of cells[0], 1-based with the header on row 1
+    try:
+        for r, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"row {r}: expected {len(header)} cells, got {len(row)}")
+            cells += [row[i] for i in feat_is]
+            _keep_reserved(row, r, columns, roles, sides, labels)
+            if len(cells) >= _CHUNK:
+                pending, cells = cells, []
+                blocks.append(_block(pending, r0, header, feat_is))
+                r0 = r + 1
+    except ParseError:
+        _block(cells, r0, header, feat_is)  # a bad feature cell up to this row raises first
+        raise
+    blocks.append(_block(cells, r0, header, feat_is))
+    return np.concatenate(blocks), roles, sides, labels
+
+
+def _block(cells: list, r0: int, header, feat_is) -> np.ndarray:
+    """The feature cells of whole rows from row ``r0`` on, as a float64
+    block; the first cell ``float()`` rejects or reads as non-finite raises."""
+    p = len(feat_is)
+    try:
+        block = np.fromiter(map(float, cells), np.float64, len(cells))
+        valid = np.isfinite(block).all()
+    except ValueError:
+        valid = False
+    if not valid:
+        block = np.array([
+            _parse_feature(raw, r0 + k // p, header[feat_is[k % p]]) for k, raw in enumerate(cells)
+        ])
+    return block.reshape(-1, p)
 
 
 def _assemble(features: np.ndarray, roles, sides: list, labels) -> tuple[LabeledPool, TestSet]:

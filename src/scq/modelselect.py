@@ -173,6 +173,9 @@ def _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg) -> Selec
         alpha0 = 2.0 * alpha
     if not 0.0 < alpha0 < 1.0:
         raise ConfigError("alpha0 must lie in (0, 1); pass alpha0 explicitly")
+    # checked before any fit: in the loop it would count as every candidate failing
+    if weight_cfg.mode == "oracle" and table.data.test.pi is None:
+        raise ConfigError("oracle weights need the true signal frequencies of simulated data")
 
     records = []
     for k, (spec, name) in enumerate(zip(toolbox.candidates, toolbox.names), start=1):

@@ -3,14 +3,15 @@
 Usage::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/cli_artifacts.py OUT
+    PYTHONPATH=src python tests/cli_artifacts.py --compare OUT_A OUT_B
 
 The runs are the criterion-12 fixture at ``--seed 9``; ``infer``,
 ``select`` and ``select --plus`` on ``paper_synthetic_config(500, 3, 3.0)``
 CSVs with positional and with group side info; ``infer`` with OCC/gaussian
 on a copy of the positional CSV with LF line endings and one quoted
-feature cell, which the loader reads cell by cell where it streams the
-original, and whose ``report.json`` and ``weights.csv`` the script checks
-are the original's bytes; ``infer`` with OCC/gaussian and ``select --plus``
+feature cell, whose ``report.json`` and ``weights.csv`` the script checks
+are the original's bytes, so that quoting and line endings change no
+number; ``infer`` with OCC/gaussian and ``select --plus``
 on the same test set with jittered non-integral positions, whose kernel
 weights take the dense path; ``infer`` with
 PUC/kde-ratio on a ``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose
@@ -25,7 +26,16 @@ inside ``OUT`` with relative paths, so two source trees' outputs compare
 byte for byte with ``diff -r OUT_A OUT_B``.  Every byte is a function of
 the source tree alone, whatever the BLAS thread count: a thread-count check
 is two runs, with ``OPENBLAS_NUM_THREADS=1`` and ``=2``, and a ``diff -r``.
-The name keeps pytest from collecting this file.
+
+``--compare OUT_A OUT_B`` checks two such directories for a change that
+reorders exact arithmetic but keeps the answers.  ``report.json``'s
+``tau`` and ``weights.csv``'s ``pi_raw``, ``pi_clipped`` and ``weight``
+may move in their last bits: it prints the largest relative change in
+each file where they moved.  Every other byte, such as the rejections,
+the q-values (ratios of counts) and the units and sides of
+``weights.csv``, must match.  It exits nonzero on a missing file, a
+difference outside those fields, or a relative change above
+``LAST_BITS_BOUND``.  The name keeps pytest from collecting this file.
 """
 
 from __future__ import annotations
@@ -33,7 +43,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -78,6 +90,10 @@ SIMULATE = {
     "alpha": 0.1,
     "param_value": 3.0,
 }
+
+# The fields whose last bits may move when exact arithmetic is reordered
+LAST_BITS = {"report.json": ("tau",), "weights.csv": ("pi_raw", "pi_clipped", "weight")}
+LAST_BITS_BOUND = 1e-10
 
 
 def run(name: str, argv: list) -> None:
@@ -173,7 +189,72 @@ def main(out_dir: str) -> None:
     run("report", ["report", "simulate"])
 
 
+def _split(path: Path) -> tuple:
+    """The text of a ``LAST_BITS`` artifact with each last-bit value masked,
+    and the list of those values."""
+    text, fields = path.read_bytes().decode("utf-8"), LAST_BITS[path.name]
+    if path.name == "report.json":
+        pattern = re.compile(rf'("(?:{"|".join(fields)})": )([^,\n}}]*)')
+        return pattern.sub(r"\1#", text), [m[1] for m in pattern.findall(text)]
+    header, *rows = text.splitlines(keepends=True)
+    cols = [i for i, name in enumerate(header.rstrip("\r\n").split(",")) if name in fields]
+    masked, values = [header], []
+    for row in rows:
+        body = row.rstrip("\r\n")
+        cells = body.split(",")
+        for i in cols:
+            if i < len(cells):
+                values.append(cells[i])
+                cells[i] = "#"
+        masked.append(",".join(cells) + row[len(body):])
+    return "".join(masked), values
+
+
+def _relative_change(x, y) -> float:
+    """``|x - y|`` over the larger magnitude; infinite for unequal cells
+    that are not both finite numbers."""
+    if x == y:
+        return 0.0
+    try:
+        x, y = float(x), float(y)
+    except (TypeError, ValueError):
+        return math.inf
+    change = abs(x - y) / max(abs(x), abs(y))
+    return change if math.isfinite(change) else math.inf
+
+
+def compare(dir_a: str, dir_b: str) -> int:
+    """Print how the artifacts under ``dir_a`` and ``dir_b`` differ; 1 if
+    any difference is outside the last bits of ``LAST_BITS``, else 0."""
+    failed = False
+    names = set()
+    for root in (dir_a, dir_b):
+        names |= {p.relative_to(root) for p in Path(root).rglob("*") if p.is_file()}
+    for name in sorted(names):
+        a, b = Path(dir_a, name), Path(dir_b, name)
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: only in {dir_a if a.is_file() else dir_b}")
+            failed = True
+        elif a.read_bytes() == b.read_bytes():
+            continue
+        elif name.name not in LAST_BITS:
+            print(f"{name}: differs")
+            failed = True
+        else:
+            (exact_a, bits_a), (exact_b, bits_b) = _split(a), _split(b)
+            if exact_a != exact_b or len(bits_a) != len(bits_b):
+                print(f"{name}: differs outside {', '.join(LAST_BITS[name.name])}")
+                failed = True
+                continue
+            change = max(map(_relative_change, bits_a, bits_b), default=0.0)
+            print(f"{name}: largest relative change {change:.3g} (bound {LAST_BITS_BOUND:g})")
+            failed |= change > LAST_BITS_BOUND
+    return int(failed)
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT")
+        sys.exit(f"usage: {sys.argv[0]} OUT | {sys.argv[0]} --compare OUT_A OUT_B")
     main(sys.argv[1])

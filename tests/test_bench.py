@@ -1,5 +1,6 @@
 """Replication harness: metrics, pairing, determinism, failure handling."""
 
+import concurrent.futures
 import re
 
 import numpy as np
@@ -122,6 +123,30 @@ class TestCompare:
         serial = compare([SCQ_GAUSS], tiny_config(), reps=6, master_seed=9, threads=1)
         parallel = compare([SCQ_GAUSS], tiny_config(), reps=6, master_seed=9, threads=2)
         assert serial == parallel
+
+    def test_workers_are_capped_at_the_replications(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        table = replication_table([SCQ_GAUSS], tiny_config(), reps=3, master_seed=9, threads=10**6)
+        assert pools == [3]
+        serial = replication_table([SCQ_GAUSS], tiny_config(), reps=3, master_seed=9)
+        np.testing.assert_array_equal(table, serial)
+        replication_table([SCQ_GAUSS], tiny_config(), reps=1, master_seed=9, threads=10**6)
+        assert pools == [3]  # one replication runs in this process
 
     def test_too_many_failures(self):
         # BIC-only toolbox cannot fit: synthetic pools carry no labeled outliers

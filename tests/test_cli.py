@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import scq
+from cli_artifacts import compare as compare_artifacts
 from helpers import count_calls
 from scq.cli import main
 from scq.scoring import fit_score
@@ -587,3 +588,66 @@ def test_cli_import_loads_numpy_only():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+TAU = 0.11377854600095694
+
+
+def write_artifacts(root, tau=TAU, qvalues=(0.5, 1.0), side="1.0", weight=0.048117375808041526):
+    """A hand-made ``tests/cli_artifacts.py`` output: one infer run."""
+    run = root / "infer"
+    run.mkdir(parents=True)
+    report = {"alpha": 0.1, "tau": tau, "rejected": [1], "qvalues": list(qvalues), "num_tied_pairs": 0}
+    (run / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    rows = ["unit,side,pi_raw,pi_clipped,weight", f"1,{side},0.02,0.02,{weight!r}", "2,2.0,0.5,0.5,1.0"]
+    (run / "weights.csv").write_bytes("".join(row + "\r\n" for row in rows).encode())
+    (run / "console.txt").write_text("exit 0\n--- stdout\ninfer: rejected 1 of 2 test units\n")
+    return root
+
+
+class TestArtifactCompare:
+    """``tests/cli_artifacts.py --compare``: last bits of tau and the weights
+    may move within the bound, nothing else may."""
+
+    @pytest.mark.parametrize(
+        "change, moved",
+        [
+            ({}, None),
+            ({"tau": float(np.nextafter(TAU, 1.0))}, "infer/report.json"),
+            ({"weight": float(np.nextafter(0.048117375808041526, 0.0))}, "infer/weights.csv"),
+        ],
+        ids=["identical", "tau 1 ulp", "weight 1 ulp"],
+    )
+    def test_last_bits_are_reported_and_pass(self, tmp_path, capsys, change, moved):
+        a, b = write_artifacts(tmp_path / "a"), write_artifacts(tmp_path / "b", **change)
+        assert compare_artifacts(a, b) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ([moved] if moved else [])
+        for line in lines:
+            change = float(line.split("largest relative change ")[1].split()[0])
+            assert 0 < change < 2**-52
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"qvalues": (0.5, 0.9)}, {"side": "1.5"}, {"tau": TAU * (1 + 1e-9)}, {"tau": None}],
+        ids=["q-value", "side", "tau beyond the bound", "tau null"],
+    )
+    def test_other_changes_fail(self, tmp_path, capsys, change):
+        a, b = write_artifacts(tmp_path / "a"), write_artifacts(tmp_path / "b", **change)
+        assert compare_artifacts(a, b) == 1
+        assert capsys.readouterr().out.startswith("infer/")
+
+    def test_missing_and_changed_files_fail(self, tmp_path):
+        a, b = write_artifacts(tmp_path / "a"), write_artifacts(tmp_path / "b")
+        (b / "infer" / "trace.json").write_text("{}\n")
+        (b / "infer" / "console.txt").write_text("exit 1\n")
+        script = Path(__file__).with_name("cli_artifacts.py")
+        src = str(Path(scq.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, str(script), "--compare", str(a), str(b)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout.splitlines() == [
+            "infer/console.txt: differs", f"infer/trace.json: only in {b}"
+        ]

@@ -32,6 +32,7 @@ from scq.errors import (
     ParseError,
     SchemaMismatch,
     ScqError,
+    UnreadableData,
 )
 
 
@@ -352,7 +353,40 @@ CSV_MUTATIONS = {
         '5,0.25,"test', '",1', "6,1.5,test,0",
     ],
     "unknown role after a bad cell": [*_with_cell("x")[:7], "tset,,6,1.75,0.125"],
+    "one feature column": ["__role__,f0", "train-null,0.5", "train-outlier,2", "test,-1.5"],
+    "one feature column, bad cell": ["__role__,f0", "train-null,0.5", "test,1_0", "test,x"],
 }
+
+# Files with a bad row, then 20 kB of rows (more than one read of the text
+# layer decodes), then a byte that is not UTF-8: "\udcff" is written as 0xff
+_FILLER = [CSV_LINES[1]] * 1000
+CSV_UNDECODABLE = {
+    "bad cell": [*_with_cell("x"), *_FILLER, "train-null,,,\udcff,1"],
+    "ragged row": [*CSV_MUTATIONS["ragged row"], *_FILLER, "train-null,,,\udcff,1"],
+    "no role column": ["__label__,__side__,f0,f1", *CSV_LINES[1:], *_FILLER, "\udcff"],
+}
+
+
+def _chunk_file(mutation, j):
+    """47 rows of every role with row ``j`` (1-based, the header is row 1)
+    changed by ``mutation``."""
+    lines = ["__role__,__label__,__side__,f0,f1,f2"]
+    for r in range(2, 49):
+        role = ("train-null", "train-outlier", "test", "train-null")[r % 4]
+        cells = [role, str(r % 2) if role == "test" else "", str(r // 5), f"{r / 8}", f"{-r}", "0.1"]
+        if r == j:
+            if mutation in ("bad cell", "bad cell and unknown role"):
+                cells[3 + r % 3] = "x"
+            if mutation in ("nan", "nan, then a ragged row"):
+                cells[3 + r % 3] = "nan"
+            if mutation in ("unknown role", "bad cell and unknown role"):
+                cells[0] = "tset"
+            if mutation == "ragged row":
+                cells.append("1")
+        if r == j + 1 and mutation == "nan, then a ragged row":
+            cells.pop()
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _outcome(load, path):
@@ -392,13 +426,27 @@ class TestCsvAgreement:
             assert test.features[0, 0] == value
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
-    def test_plain_files_are_streamed(self, tmp_path, monkeypatch, ending):
-        calls = []
-        monkeypatch.setattr(datamodel, "_parse_cells", lambda path: calls.append(path))
-        path = tmp_path / "plain.csv"
-        path.write_bytes(b"\xef\xbb\xbf" + (ending.join(CSV_LINES) + ending).encode())
-        load_csv(path)
-        assert calls == []
+    @pytest.mark.parametrize("name", list(CSV_UNDECODABLE))
+    def test_undecodable_bytes_outrank_a_bad_row(self, tmp_path, monkeypatch, name, ending):
+        monkeypatch.setattr(datamodel, "_CHUNK", 1)  # so a bad cell raises at its row
+        path = tmp_path / "undecodable.csv"
+        text = ending.join(CSV_UNDECODABLE[name]) + ending
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        outcome = _outcome(load_csv, path)
+        assert outcome[0] is UnreadableData
+        assert outcome == _outcome(load_csv_by_cell, path)
+
+    @pytest.mark.parametrize("chunk", range(1, 11))
+    def test_bad_rows_at_every_chunk_boundary(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(datamodel, "_CHUNK", chunk)
+        path = tmp_path / "chunks.csv"
+        mutations = (
+            "bad cell", "nan", "ragged row", "unknown role",
+            "bad cell and unknown role", "nan, then a ragged row",
+        )
+        for mutation, j in [(None, 0), *((m, j) for m in mutations for j in range(2, 49))]:
+            path.write_text(_chunk_file(mutation, j), encoding="utf-8")
+            assert _outcome(load_csv, path) == _outcome(load_csv_by_cell, path), (mutation, j)
 
     def test_peak_memory_at_10k_units(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -207,6 +207,16 @@ class TestPtams:
         with pytest.raises(ConfigError, match="alpha0"):
             ptams(toolbox, data, alpha=0.6, coins=CoinStream(seed=0))
 
+    @pytest.mark.parametrize("select", [ptams, ptams_plus])
+    def test_oracle_weights_need_pi_before_any_fit(self, monkeypatch, select):
+        data = make_synthetic_data(m=20, p=2, mu=1.0, seed=8)
+        data = replace(data, test=replace(data.test, pi=None))  # as read from a file
+        fits = count_calls(monkeypatch, fit_score)
+        oracle = WeightConfig(mode="oracle")
+        with pytest.raises(ConfigError, match="^oracle weights need"):
+            select(TOOLBOX, data, alpha=0.1, coins=CoinStream(seed=0), weight_cfg=oracle)
+        assert fits == []
+
 
 class TestPtamsPlus:
     def test_singleton_grid_matches_ptams(self):
