@@ -36,7 +36,7 @@ from .conformal import (
     storey_bh,
 )
 from .datamodel import InferenceData
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateFit
 from .scoring import ClassifierSpec, ScoreModel, fit_score, score_batch
 from .weights import SparsityEstimate, estimate_sparsity, oracle_weights, structure_weights
 
@@ -144,7 +144,8 @@ class ScoreTable:
 
     def scores(self, spec: ClassifierSpec) -> CandidateScores:
         """The scores and p-values of ``spec``, cut from one scoring of
-        ``rows``; a score depends on its row alone.
+        ``rows``; a score depends on its row alone.  A classifier that gives
+        every row one score although the rows differ raises DegenerateFit.
 
         The train-null KDE is fitted on the same rows at the same bandwidth
         by OCC/kde and by PUC/kde-ratio, so its density of ``rows`` is
@@ -161,6 +162,8 @@ class ScoreTable:
                 s = self._cached(("null_kde", bandwidth), lambda: score_batch(null, self.rows))
                 if spec.method == "kde-ratio":
                     s = s - score_batch(_kde_half(model, "mix_kde"), self.rows)
+            if (s == s[0]).all() and (self.rows != self.rows[0]).any():
+                raise DegenerateFit(f"{spec.name} scores every row alike, though the rows differ")
             m = self.data.m
             cal, test, mirror = s[2 * m :], s[:m], s[m : 2 * m]
             n = len(cal) + 1

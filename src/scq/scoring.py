@@ -309,15 +309,10 @@ def _knn_label_mean(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.count_nonzero(near & (labels == 1.0), axis=1) / k
 
 
-def _expit(z: np.ndarray) -> np.ndarray:
-    """The logistic sigmoid; exp overflow gives exactly 0, without a warning."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
-
-
 def _logistic_gd(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
     # full-batch gradient descent on mean log loss; zero init, no stopping rule.
-    # The sigmoid is _expit's, in place; np.add.reduce(g) / n is g.mean()
+    # The sigmoid 1 / (1 + exp(-z)) runs in place, exp overflow giving exactly
+    # 0 without a warning; np.add.reduce(g) / n is g.mean()
     n, p = x.shape
     w = np.zeros(p)
     b = 0.0
@@ -406,11 +401,16 @@ def fit_score(
 
 
 def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
-    """Score a batch of feature vectors; smaller means more outlier-like."""
+    """Score a batch of feature vectors; smaller means more outlier-like.
+    A logistic score is the linear predictor ``x.w + b`` (negated for BIC):
+    it ranks rows as its sigmoid would, without rounding them to 0 or 1."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.dim:
         raise DimensionMismatch(f"expected dimension {model.dim}, got {x.shape[1]}")
     params = model.params
+    if model.method in ("logistic", "pu-logistic"):
+        z = np.einsum("ij,j->i", x, params["w"]) + params["b"]
+        return -z if model.family == "BIC" else z
     if model.family == "OCC":
         if model.method == "gaussian":
             return _gaussian_logpdf(params, x)
@@ -422,15 +422,11 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
             a.partition(k, axis=1)
             kth[rows] = a[:, k]
         return -np.sqrt(kth)
-    if model.family == "BIC":
-        if model.method == "logistic":
-            return -_expit(np.einsum("ij,j->i", x, params["w"]) + params["b"])
+    if model.family == "BIC":  # knn
         frac_outlier = np.empty(x.shape[0])
         for rows, a in _sq_dist_blocks(x, params):
             frac_outlier[rows] = _knn_label_mean(a, params["labels"], params["k"])
         return -frac_outlier
-    # PUC
-    if model.method == "kde-ratio":
-        return _kde_logpdf(params["null_kde"], x) - _kde_logpdf(params["mix_kde"], x)
-    return _expit(np.einsum("ij,j->i", x, params["w"]) + params["b"])
+    # PUC/kde-ratio
+    return _kde_logpdf(params["null_kde"], x) - _kde_logpdf(params["mix_kde"], x)
 

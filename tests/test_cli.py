@@ -206,6 +206,18 @@ class TestInfer:
         assert rc == 2
         assert capsys.readouterr().err.startswith("failure:")
 
+    def test_constant_scores_exit_two(self, tmp_path, capsys):
+        # a bandwidth this small floors every row's density: no ranking
+        data = tmp_path / "signal.csv"
+        write_signal_csv(data)
+        cfg = tmp_path / "cfg.json"
+        kde = {"family": "OCC", "method": "kde", "hyperparams": {"bandwidth": 1e-12}}
+        cfg.write_text(json.dumps({"classifier": kde}))
+        rc = main(["infer", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("failure: OCC/kde scores every row alike")
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_side_exit_one(self, tmp_path, infer_config, monkeypatch, capsys, bad):
         # a non-finite position is rejected when the CSV is read, before any fit
@@ -573,9 +585,10 @@ class TestReport:
 
 
 def test_cli_import_loads_numpy_only():
-    # scq depends on numpy alone; scipy is needed by the tests only, and the
-    # process pool only by simulate runs with more than one worker
-    unwanted = ("scipy", "multiprocessing", "concurrent.futures.process")
+    # scq depends on numpy alone; scipy is needed by the tests only, the
+    # process pool only by simulate runs with more than one worker, and
+    # numpy.ma (1.5 MB resident) by nothing
+    unwanted = ("scipy", "multiprocessing", "concurrent.futures.process", "numpy.ma")
     code = (
         "import scq.cli, sys; "
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unwanted!r} "

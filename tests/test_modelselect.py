@@ -185,6 +185,16 @@ class TestPtams:
         assert trace.records[0].error
         assert trace.selected == 2
 
+    def test_constant_score_candidate_excluded(self):
+        data = make_synthetic_data(m=40, p=2, mu=3.0, seed=5)
+        crippled = ClassifierSpec("OCC", "kde", {"bandwidth": 1e-12})  # every row at the floor
+        toolbox = Toolbox(candidates=(crippled, ClassifierSpec("OCC", "gaussian")))
+        trace, result = ptams(toolbox, data, alpha=0.1, coins=CoinStream(seed=0))
+        assert trace.records[0].r_k == -1
+        assert "OCC/kde scores every row alike" in trace.records[0].error
+        assert trace.selected == 2
+        assert result.scores.spec == toolbox.candidates[1]
+
     def test_all_candidates_failed(self):
         data = make_synthetic_data(m=20, p=2, mu=1.0, seed=6)
         toolbox = Toolbox(candidates=(ClassifierSpec("BIC", "knn"),))

@@ -9,7 +9,7 @@ from helpers import count_calls, make_synthetic_data
 from scq import scoring
 from scq.bench import paper_synthetic_config
 from scq.conformal import bh, conformal_pvalues, storey_bh
-from scq.errors import ConfigError
+from scq.errors import ConfigError, DegenerateFit
 from scq.pipeline import ScoreTable, WeightConfig, compute_weights, run_cfbh, run_scq
 from scq.scoring import ClassifierSpec, score_batch
 from scq.weights import estimate_sparsity, oracle_weights, structure_weights
@@ -17,6 +17,7 @@ from scq.weights import estimate_sparsity, oracle_weights, structure_weights
 GAUSS = ClassifierSpec("OCC", "gaussian")
 KDE = ClassifierSpec("OCC", "kde")
 KDE_RATIO = ClassifierSpec("PUC", "kde-ratio")
+CRIPPLED = ClassifierSpec("OCC", "kde", {"bandwidth": 1e-12})  # every row at the floor
 
 
 class TestSettingsAreValues:
@@ -82,6 +83,16 @@ class TestWeightModes:
         fresh = estimate_sparsity(data.test.side, None, res.scores.p, res.scores.p_tilde, 0.3)
         np.testing.assert_array_equal(res.sparsity.raw, fresh.raw)
         np.testing.assert_array_equal(structure_weights(res.sparsity), res.weights)
+
+
+class TestConstantScores:
+    def test_differing_rows_with_one_score_raise(self):
+        table = ScoreTable(make_synthetic_data(m=40, p=2, mu=3.0, seed=5))
+        for _ in range(2):  # a failure is not kept, so asking again raises again
+            with pytest.raises(DegenerateFit, match="OCC/kde scores every row alike"):
+                table.scores(CRIPPLED)
+        with pytest.raises(DegenerateFit, match="OCC/kde"):
+            run_scq(table, CRIPPLED, WeightConfig(), alpha=0.1)
 
 
 class TestJitter:

@@ -32,13 +32,12 @@ from scq.datamodel import (
     generate_hierarchical,
     split_nulls,
 )
-from scq.errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers
+from scq.errors import ConfigError, DegenerateFit, DimensionMismatch, MissingOutliers, ScqError
 from scq.pipeline import ScoreTable, WeightConfig, run_scq
 from scq.scoring import (
     ClassifierSpec,
     _BLOCK_ROWS,
     _block_rows,
-    _expit,
     _logsumexp_rows,
     _regularized_cholesky,
     fit_score,
@@ -342,20 +341,57 @@ class TestLogsumexpRows:
         assert got[2] == special.logsumexp([0.0, -1.0, -2.0])
 
 
-class TestExpit:
-    def test_matches_scipy(self):
-        # both use 1 / (1 + exp(-z)); they differ only through exp's last bits
-        z = np.linspace(-36.0, 36.0, 200_001)
-        np.testing.assert_array_max_ulp(_expit(z), special.expit(z), maxulp=2)
-        z = np.linspace(-745.0, 745.0, 200_001)
-        np.testing.assert_array_max_ulp(_expit(z), special.expit(z), maxulp=4)
+SCALES = (1e-170, 1e-100, 1e3, 1e6, 1e100, 1e160)
 
-    def test_saturates_without_warning(self):
-        z = np.array([-1e308, -1e4, -750.0, 750.0, 1e4, 1e308])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _expit(z)
-        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+def scaled_probe(c: float) -> InferenceData:
+    """``paper_synthetic_config(1000, 5, 2.0)`` (data seed 7, split seed 8)
+    with 50 labeled outliers N(3, I) (seed 9), every feature times ``c``."""
+    cfg = paper_synthetic_config(1000, 5, 2.0)
+    pool, test = generate_hierarchical(cfg, np.random.default_rng(7))
+    split = split_nulls(pool, test.m, np.random.default_rng(8))
+    outliers = np.random.default_rng(9).normal(3.0, 1.0, (50, 5))
+    return InferenceData(
+        split=NullSplit(train=split.train * c, cal=split.cal * c, mirror=split.mirror * c),
+        test=TestSet(features=test.features * c, side=test.side),
+        labeled_outliers=outliers * c,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows at c = 1e160
+class TestScale:
+    """Every feature times c: a scorer still ranks the rows, or the run raises."""
+
+    @pytest.mark.parametrize(
+        "family, method",
+        [("OCC", "gaussian"), ("OCC", "kde"), ("OCC", "knn"), ("BIC", "knn"), ("PUC", "kde-ratio")],
+    )
+    def test_equivariant_scorers_keep_their_rejections(self, family, method):
+        spec = ClassifierSpec(family, method)
+        base = run_scq(scaled_probe(1.0), spec, WeightConfig(), 0.1).rejection.sorted()
+        assert base
+        for c in SCALES:
+            try:
+                res = run_scq(scaled_probe(c), spec, WeightConfig(), 0.1)
+            except ScqError:
+                continue
+            assert res.rejection.sorted() == base, c
+
+    @pytest.mark.parametrize("family, method", [("BIC", "logistic"), ("PUC", "pu-logistic")])
+    def test_logistic_scores_stay_distinct(self, family, method):
+        spec = ClassifierSpec(family, method)
+        for c in SCALES:
+            try:
+                scores = run_scq(scaled_probe(c), spec, WeightConfig(), 0.1).scores
+            except ScqError:
+                continue
+            s = np.concatenate([scores.test, scores.mirror, scores.cal])
+            assert len(np.unique(s)) == len(s) == 2333, c
+
+    def test_pu_logistic_ranks_past_the_sigmoid(self):
+        # x.w + b passes 37 here, where the sigmoid rounds to exactly 1
+        res = run_scq(scaled_probe(1e3), ClassifierSpec("PUC", "pu-logistic"), WeightConfig(), 0.1)
+        assert len(res.rejection) >= 100
 
 
 class TestPuc:
