@@ -13,9 +13,9 @@ one-line summary; all data goes to files whose bytes are fully
 determined by the inputs and the seed.  ``infer`` and ``select`` write
 ``weights.csv`` from the sparsity estimate their result carries, so the
 weights are computed once per run.  Exit codes: 0 success, 1 user or
-config error, 2 statistical or runtime failure (a degenerate fit, NaN
-scores, every selection candidate failing, too many failed
-replications).
+config error, 2 statistical or runtime failure (a degenerate fit, a
+classifier that scores differing rows alike, NaN scores, every selection
+candidate failing, too many failed replications).
 """
 
 from __future__ import annotations

@@ -391,7 +391,8 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
     The file is streamed in one :mod:`csv` pass that keeps the reserved
     cells and converts the feature cells with ``float()`` a chunk at a
     time.  The first bad row raises, and a file that cannot be decoded
-    raises :class:`UnreadableData` whatever its rows hold.
+    raises :class:`UnreadableData` whatever its rows hold, naming the byte
+    offset and the line of the first bad byte.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -402,9 +403,26 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
                 for _ in reader:  # an undecodable line later on outranks a bad row
                     pass
                 raise
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        raise UnreadableData(f"cannot read data file {path}: {_undecodable(path, exc)}") from exc
+    except (OSError, csv.Error) as exc:
         raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
     return _assemble(*parts)
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> str:
+    """``exc`` placed in the file by decoding its bytes once more: the text
+    layer counts from its buffer and past a BOM.  Lines end at LF, CRLF or CR."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        where = f"byte 0x{data[err.start]:02x} at byte offset {err.start}, line {line}"
+        return f"'utf-8' codec can't decode {where}: {err.reason}"
+    return str(exc)  # the file changed since it was read
 
 
 def _columns(header) -> tuple:

@@ -57,7 +57,7 @@ class MissingOutliers(UsageError):
 
 
 class DegenerateFit(RuntimeFailure):
-    """Model fitting failed even after regularization fallbacks."""
+    """A fit failed even after regularization fallbacks, or its scores cannot rank the rows."""
 
 
 class DimensionMismatch(UsageError):

@@ -11,9 +11,14 @@ CSVs with positional and with group side info; ``infer`` with OCC/gaussian
 on a copy of the positional CSV with LF line endings and one quoted
 feature cell, whose ``report.json`` and ``weights.csv`` the script checks
 are the original's bytes, so that quoting and line endings change no
-number; ``infer`` with OCC/gaussian and ``select --plus``
-on the same test set with jittered non-integral positions, whose kernel
-weights take the dense path; ``infer`` with
+number; ``infer`` on copies of the positional CSV with every feature
+scaled, with PUC/pu-logistic at 1e3, where a sigmoid score would round
+to exactly 1, and with OCC/gaussian at 1e-170, where the squares
+underflow and every row scores alike, so the script checks that it
+exits 2 naming the classifier; ``infer`` with OCC/gaussian and
+``select --plus`` on the same test set as the positional CSV with
+jittered non-integral positions, whose kernel weights take the dense
+path; ``infer`` with
 PUC/kde-ratio on a ``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose
 7,000-row mixture reference gives distance products of a size OpenBLAS
 splits among threads unless they are tiled; ``infer`` with OCC/gaussian on
@@ -53,7 +58,7 @@ import numpy as np
 
 from scq.bench import paper_synthetic_config
 from scq.cli import main as cli_main
-from scq.datamodel import SideInfo, TestSet, generate_hierarchical, save_csv
+from scq.datamodel import LabeledPool, SideInfo, TestSet, generate_hierarchical, load_csv, save_csv
 from test_acceptance import _write_cli_fixtures
 
 CLASSIFIERS = [("OCC", "gaussian"), ("OCC", "kde"), ("PUC", "kde-ratio"), ("PUC", "pu-logistic")]
@@ -136,6 +141,14 @@ def quoted_lf_copy(src: str, dst: str) -> str:
     return dst
 
 
+def scaled_copy(src: str, dst: str, c: float) -> str:
+    """Copy the CSV ``src`` with every feature multiplied by ``c``."""
+    pool, test = load_csv(src)
+    scaled = TestSet(test.features * c, test.side, test.truth)
+    save_csv(LabeledPool(pool.inliers * c, pool.outliers * c), scaled, dst)
+    return dst
+
+
 def main(out_dir: str) -> None:
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
@@ -169,6 +182,13 @@ def main(out_dir: str) -> None:
             "infer-position-OCC-gaussian", name
         ).read_bytes():
             sys.exit(f"{name} of the quoted LF copy differs from the positional CSV's")
+    for c, family, method in ((1e3, "PUC", "pu-logistic"), (1e-170, "OCC", "gaussian")):
+        scaled = scaled_copy(csvs["position"], f"data-position-x{c:g}.csv", c)
+        argv = ["infer", scaled, "--config", f"infer-{family}-{method}.json", "--seed", "4"]
+        run(f"infer-x{c:g}-{family}-{method}", argv)
+    console = Path("infer-x1e-170-OCC-gaussian", "console.txt").read_text()
+    if not console.startswith("exit 2") or "OCC/gaussian scores every row alike" not in console:
+        sys.exit("OCC/gaussian at 1e-170 did not exit 2 naming the classifier")
     run("infer-jittered-OCC-gaussian", ["infer", jittered, "--config", gauss_cfg, "--seed", "4"])
     run("select-plus-jittered", ["select", jittered, "--plus", "--config", cfg, "--seed", "4"])
 

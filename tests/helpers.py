@@ -15,6 +15,7 @@ import csv
 import math
 import re
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -306,13 +307,26 @@ def knn_label_mean_ranked(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarr
 
 def load_csv_by_cell(path) -> tuple:
     """``datamodel.load_csv`` as a per-cell loop: every cell through
-    ``float()``, one list per row, the first bad row raising."""
+    ``float()``, one list per row, the first bad row raising, and an
+    undecodable file named by the byte offset and line of its first bad
+    byte, counted from the start of the file."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # splitlines ends a line at LF, CRLF or CR; the marker starts the bad byte's line
+            line = len((data[: exc.start] + b"#").splitlines())
+            where = f"byte 0x{data[exc.start]:02x} at byte offset {exc.start}, line {line}"
+            raise UnreadableData(
+                f"cannot read data file {path}: 'utf-8' codec can't decode {where}: {exc.reason}"
+            ) from exc
+    except (OSError, csv.Error) as exc:
         raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
     if header is None:
         raise SchemaMismatch("empty file: no header row")

@@ -436,6 +436,23 @@ class TestCsvAgreement:
         assert outcome[0] is UnreadableData
         assert outcome == _outcome(load_csv_by_cell, path)
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no BOM", "BOM"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_undecodable_byte_is_placed_in_the_file(self, tmp_path, bom, ending):
+        # a 33-byte header and 2,001 rows of 22 bytes, each with its ending;
+        # 0xff opens line 1,036's first feature cell, about 24 kB in: far
+        # past the first 8 kB buffer the text layer decodes
+        lines = [CSV_LINES[0], *[CSV_LINES[1]] * 2001]
+        lines[1035] = "train-null,,,\udcff.5,-1.25"
+        path = tmp_path / "undecodable.csv"
+        path.write_bytes(bom + (ending.join(lines) + ending).encode("utf-8", "surrogateescape"))
+        offset = len(bom) + 33 + len(ending) + 1034 * (22 + len(ending)) + len("train-null,,,")
+        where = f"can't decode byte 0xff at byte offset {offset}, line 1036: invalid start byte"
+        for load in (load_csv, load_csv_by_cell):
+            with pytest.raises(UnreadableData) as err:
+                load(path)
+            assert str(err.value).endswith(where)
+
     @pytest.mark.parametrize("chunk", range(1, 11))
     def test_bad_rows_at_every_chunk_boundary(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(datamodel, "_CHUNK", chunk)

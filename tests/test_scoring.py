@@ -389,7 +389,7 @@ class TestScale:
             assert len(np.unique(s)) == len(s) == 2333, c
 
     def test_pu_logistic_ranks_past_the_sigmoid(self):
-        # x.w + b passes 37 here, where the sigmoid rounds to exactly 1
+        # at 1e3 the sigmoid of x.w + b rounds the 2,333 scores to 13 values
         res = run_scq(scaled_probe(1e3), ClassifierSpec("PUC", "pu-logistic"), WeightConfig(), 0.1)
         assert len(res.rejection) >= 100
 
