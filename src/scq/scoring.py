@@ -23,16 +23,16 @@ runner-up is not strictly below it; a unique maximum leaves the block
 exactly as the count would, so the fast path changes the cost, not the
 order of the sum.
 
-The distance scorers (KDE, both kNNs, and so the KDE ratio) reduce their
-distances block by block from ``_sq_dist_blocks``, so memory stays flat as
-the batch grows.  Every product a score reads runs at one shape fixed by
-the model: a distance product multiplies a zero-padded tile of
-``_block_rows(n_ref)`` rows by a tile of reference rows worth at most
-``_TILE_MACS`` multiply-adds, which OpenBLAS runs on one thread, and the
-Gaussian and logistic products run in ``np.einsum``, outside BLAS.  So a
-score is a function of its row alone, whatever its batch, its offset in the
-batch or the BLAS thread count, and a swap of two rows between or within
-batches swaps their scores exactly.
+The distance scorers (KDE, both kNNs, and so the KDE ratio) hand one row
+reduction to ``_reduce_rows``, which reduces the distances block by block,
+so memory stays flat as the batch grows.  Every product a score reads runs
+at one shape fixed by the model: a distance product multiplies a
+zero-padded tile of ``_block_rows(n_ref)`` rows by a tile of reference
+rows worth at most ``_TILE_MACS`` multiply-adds, which OpenBLAS runs on
+one thread, and the Gaussian and logistic products run in ``np.einsum``,
+outside BLAS.  So a score is a function of its row alone, whatever its
+batch, its offset in the batch or the BLAS thread count, and a swap of two
+rows between or within batches swaps their scores exactly.
 """
 
 from __future__ import annotations
@@ -220,10 +220,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def _kde_logpdf(params: dict, x: np.ndarray) -> np.ndarray:
     h = params["h"]
-    out = np.empty(x.shape[0])
-    for rows, a in _sq_dist_blocks(x / h, params):
-        a *= -0.5
-        out[rows] = _logsumexp_rows(a)
+    out = _reduce_rows(x / h, params, lambda a: _logsumexp_rows(np.multiply(a, -0.5, out=a)))
     n = params["train"].shape[0]
     out -= float(np.sum(np.log(h * np.sqrt(2.0 * np.pi)))) + np.log(n)
     return np.maximum(out, LOG_DENSITY_FLOOR * len(h), out=out)
@@ -249,20 +246,20 @@ def _block_rows(n_ref: int) -> int:
     return max(_BLOCK_ROWS, _BLOCK_ENTRIES // n_ref // _BLOCK_ROWS * _BLOCK_ROWS)
 
 
-def _sq_dist_blocks(x: np.ndarray, ref: Mapping[str, np.ndarray]):
-    """Yield ``(rows, block)``: squared distances from ``x[rows]`` to ``ref``.
+def _reduce_rows(x: np.ndarray, ref: Mapping[str, np.ndarray], reduce) -> np.ndarray:
+    """``reduce`` of the squared distances from each row of ``x`` to ``ref``.
 
-    The blocks cover the rows of ``x`` in order and are views of two
-    buffers allocated once per call, so a consumer must reduce each block
-    before asking for the next.  Both sides are taken less the reference's
-    ``center``, so a large common offset cancels before the product.  Each
-    entry is ``max(|t|^2 + |x|^2 - (2x).t, 0)``, computed in that order: the
-    norms of the reference rows are copied in whole and each row's own norm
-    is added in place, and ``t + x`` is the same double as ``x + t``.  Every
-    product has one shape: ``_block_rows(n_ref)`` rows, the last tile
-    zero-padded, times as many reference rows as fit in ``_TILE_MACS``
-    multiply-adds.  So a row's distances depend on that row alone, not on
-    its batch, its offset or the BLAS thread count.
+    The rows are taken block by block, and ``reduce`` maps a block of
+    distances, which it may overwrite, to one value per row.  Both sides are
+    taken less the reference's ``center``, so a large common offset cancels
+    before the product.  Each entry is ``max(|t|^2 + |x|^2 - (2x).t, 0)``,
+    computed in that order: the norms of the reference rows are copied in
+    whole and each row's own norm is added in place, and ``t + x`` is the
+    same double as ``x + t``.  Every product has one shape:
+    ``_block_rows(n_ref)`` rows, the last tile zero-padded, times as many
+    reference rows as fit in ``_TILE_MACS`` multiply-adds, and ``reduce``
+    sees only the real rows.  So a row's value depends on that row alone,
+    not on its batch, its offset or the BLAS thread count.
     """
     train, tt = ref["train"], ref["train_sq"]
     (n_ref, p), n = train.shape, x.shape[0]
@@ -274,6 +271,7 @@ def _sq_dist_blocks(x: np.ndarray, ref: Mapping[str, np.ndarray]):
     xc *= 2.0
     g = np.empty((step, n_ref))
     a = np.empty_like(g)
+    out = np.empty(n)
     for lo in range(0, n, step):
         for c in range(0, n_ref, cols):
             np.matmul(xc[lo : lo + step], train[c : c + cols].T, out=g[:, c : c + cols])
@@ -281,7 +279,8 @@ def _sq_dist_blocks(x: np.ndarray, ref: Mapping[str, np.ndarray]):
         a += xx[lo : lo + step, None]
         a -= g
         np.maximum(a, 0.0, out=a)
-        yield slice(lo, lo + step), a[: n - lo]
+        out[lo : lo + step] = reduce(a[: n - lo])
+    return out
 
 
 def _knn_label_mean(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -331,6 +330,11 @@ def _logistic_gd(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
     return w, b
 
 
+def _fit_logistic(x: np.ndarray, y: np.ndarray, hp: Mapping[str, Any]) -> dict:
+    w, b = _logistic_gd(x, y, hp["iterations"], hp["step"])
+    return {"w": w, "b": b}
+
+
 def fit_score(
     spec: ClassifierSpec,
     train: np.ndarray,
@@ -378,8 +382,7 @@ def fit_score(
         x = np.vstack([train, outliers])
         y = np.concatenate([np.zeros(train.shape[0]), np.ones(outliers.shape[0])])
         if spec.method == "logistic":
-            w, b = _logistic_gd(x, y, hp["iterations"], hp["step"])
-            params = {"w": w, "b": b}
+            params = _fit_logistic(x, y, hp)
         else:  # knn on labeled points
             params = {"labels": y, "k": _knn_k(hp["k"], x.shape[0]), **_reference(x)}
     else:  # PUC
@@ -392,10 +395,8 @@ def fit_score(
                 "mix_kde": _fit_kde(pool, hp["bandwidth"]),
             }
         else:  # pu-logistic: nulls are the positive class, pool is unlabeled
-            x = np.vstack([train, pool])
             y = np.concatenate([np.ones(train.shape[0]), np.zeros(pool.shape[0])])
-            w, b = _logistic_gd(x, y, hp["iterations"], hp["step"])
-            params = {"w": w, "b": b}
+            params = _fit_logistic(np.vstack([train, pool]), y, hp)
 
     return ScoreModel(family=spec.family, method=spec.method, dim=p, params=params)
 
@@ -417,16 +418,14 @@ def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
         if model.method == "kde":
             return _kde_logpdf(params, x)
         k = params["k"] - 1
-        kth = np.empty(x.shape[0])
-        for rows, a in _sq_dist_blocks(x, params):
+
+        def kth(a):  # in place: a copy of each block would cost a sixth more
             a.partition(k, axis=1)
-            kth[rows] = a[:, k]
-        return -np.sqrt(kth)
+            return a[:, k]
+
+        return -np.sqrt(_reduce_rows(x, params, kth))
     if model.family == "BIC":  # knn
-        frac_outlier = np.empty(x.shape[0])
-        for rows, a in _sq_dist_blocks(x, params):
-            frac_outlier[rows] = _knn_label_mean(a, params["labels"], params["k"])
-        return -frac_outlier
+        return -_reduce_rows(x, params, lambda a: _knn_label_mean(a, params["labels"], params["k"]))
     # PUC/kde-ratio
     return _kde_logpdf(params["null_kde"], x) - _kde_logpdf(params["mix_kde"], x)
 

@@ -173,12 +173,14 @@ class TestKnn:
         model = fit_score(ClassifierSpec("BIC", "knn", {"k": 35}), train, outliers)
         x = rng.standard_normal((50, 2))
         x[:3, 0] = 1e308
-        want = np.empty(len(x))
+
+        def stable_sort_mean(a):
+            assert np.isnan(a[:3]).any()
+            order = np.argsort(a, axis=1, kind="stable")[:, :35]
+            return -model.params["labels"][order].mean(axis=1)
+
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows, a in scoring._sq_dist_blocks(x, model.params):
-                assert np.isnan(a[:3]).any()
-                order = np.argsort(a, axis=1, kind="stable")[:, :35]
-                want[rows] = -model.params["labels"][order].mean(axis=1)
+            want = scoring._reduce_rows(x, model.params, stable_sort_mean)
             got = score_batch(model, x)
         np.testing.assert_array_equal(got, want)
 
