@@ -52,7 +52,8 @@ FLAGS = ("alpha", "seed", "out", "reps", "threads")
 
 def _read_config(args, schema: dict) -> dict:
     """The ``--config`` file read against ``schema``, with the scalar flags
-    given merged in; the seed they settle on must be non-negative."""
+    given merged in; the seed and thread count they settle on must be
+    non-negative."""
     if args.config is None:
         raise ConfigError("--config is required for this command")
     try:
@@ -65,8 +66,9 @@ def _read_config(args, schema: dict) -> dict:
     cfg = read_config(doc, schema, f"{args.command} config")
     flags = {key: getattr(args, key, None) for key in FLAGS}
     cfg.update((key, value) for key, value in flags.items() if value is not None)
-    if cfg["seed"] < 0:
-        raise ConfigError(f"{args.command} config 'seed' must be non-negative, got {cfg['seed']}")
+    for key in ("seed", "threads"):
+        if cfg.get(key, 0) < 0:
+            raise ConfigError(f"{args.command} config {key!r} must be non-negative, got {cfg[key]}")
     return cfg
 
 

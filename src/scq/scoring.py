@@ -12,7 +12,8 @@ structural contracts hold by construction:
   swap of (test, mirror) pairs, reproduces the model bit for bit.
 
 Fits are deterministic: closed-form moments, fixed bandwidth rules, and
-fixed-iteration full-batch gradient descent with zero initialization.
+fixed-iteration full-batch gradient descent with zero initialization on
+feature columns scaled by powers of two.
 
 The module needs numpy alone.  The KDE row log-sum-exp splits off the row
 maximum in the order scipy's ``logsumexp`` uses (analysed by Blanchard,
@@ -331,8 +332,18 @@ def _logistic_gd(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
 
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, hp: Mapping[str, Any]) -> dict:
-    w, b = _logistic_gd(x, y, hp["iterations"], hp["step"])
-    return {"w": w, "b": b}
+    """``_logistic_gd`` of labels ``y`` on ``x`` with column j scaled by
+    2^(3 - e_j), e_j the binary exponent of its largest magnitude, so that
+    the fixed step sees a largest magnitude in [4, 8) at any feature scale.
+    A power of two scales exactly, so ``x.w`` with the returned ``w`` is the
+    scaled fit's linear predictor bit for bit wherever nothing under- or
+    overflows.  An all-zero column keeps the scale 1, and the exponent is
+    clamped so that a subnormal column's scale stays finite."""
+    peak = np.max(np.abs(x), axis=0)
+    e = np.where(peak > 0.0, np.frexp(peak)[1], 3)
+    scale = np.ldexp(1.0, np.minimum(3 - e, 1023))
+    w, b = _logistic_gd(x * scale, y, hp["iterations"], hp["step"])
+    return {"w": w * scale, "b": b}
 
 
 def fit_score(

@@ -13,7 +13,8 @@ feature cell, whose ``report.json`` and ``weights.csv`` the script checks
 are the original's bytes, so that quoting and line endings change no
 number; ``infer`` on copies of the positional CSV with every feature
 scaled, with PUC/pu-logistic at 1e3, where a sigmoid score would round
-to exactly 1, and with OCC/gaussian at 1e-170, where the squares
+to exactly 1, and at 1e6, where a descent on the unscaled columns
+diverged, and with OCC/gaussian at 1e-170, where the squares
 underflow and every row scores alike, so the script checks that it
 exits 2 naming the classifier; ``infer`` with OCC/gaussian and
 ``select --plus`` on the same test set as the positional CSV with
@@ -182,7 +183,11 @@ def main(out_dir: str) -> None:
             "infer-position-OCC-gaussian", name
         ).read_bytes():
             sys.exit(f"{name} of the quoted LF copy differs from the positional CSV's")
-    for c, family, method in ((1e3, "PUC", "pu-logistic"), (1e-170, "OCC", "gaussian")):
+    for c, family, method in (
+        (1e3, "PUC", "pu-logistic"),
+        (1e6, "PUC", "pu-logistic"),
+        (1e-170, "OCC", "gaussian"),
+    ):
         scaled = scaled_copy(csvs["position"], f"data-position-x{c:g}.csv", c)
         argv = ["infer", scaled, "--config", f"infer-{family}-{method}.json", "--seed", "4"]
         run(f"infer-x{c:g}-{family}-{method}", argv)

@@ -107,6 +107,12 @@ class TestSimulate:
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_negative_threads_flag_exit_one(self, tmp_path, simulate_config, capsys):
+        argv = ["simulate", "--config", str(simulate_config), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--threads", "-1"]) == 1
+        assert "'threads' must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_one(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -459,6 +465,8 @@ MISTYPED = {
     "infer-seed-flag-negative": ("infer", ["--seed", "-1"], {"classifier": GAUSS}),
     "select-seed-negative": ("select", [], {"toolbox": [GAUSS], "seed": -1}),
     "simulate-seed-negative": ("simulate", [], {"seed": -1}),
+    # 0 threads is one worker per CPU; a negative count is not a count
+    "simulate-threads-negative": ("simulate", [], {"threads": -3}),
     # a JSON integer too large for a float is not a number
     "infer-lambda-beyond-float": ("infer", [], {"classifier": GAUSS, "lambda": 10**400}),
 }
@@ -482,6 +490,7 @@ NAMED = {
     "infer-seed-flag-negative": "seed",
     "select-seed-negative": "seed",
     "simulate-seed-negative": "seed",
+    "simulate-threads-negative": "threads",
 }
 
 

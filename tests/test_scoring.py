@@ -241,8 +241,20 @@ class TestLogistic:
                 (bic, rows, np.repeat([0.0, 1.0], [n_train, n - n_train])),
                 (puc, np.vstack([train, pool]), np.repeat([1.0, 0.0], [n_train, n - n_train])),
             ):
-                w, b = logistic_gd_loop(x, y, hp["iterations"], hp["step"])
-                assert np.append(params["w"], params["b"]).tobytes() == np.append(w, b).tobytes()
+                # the loop runs on the columns scaled into [4, 8), then rescaled
+                scale = 2.0 ** (3 - np.frexp(np.abs(x).max(axis=0))[1])
+                w, b = logistic_gd_loop(x * scale, y, hp["iterations"], hp["step"])
+                want = np.append(w * scale, b)
+                assert np.append(params["w"], params["b"]).tobytes() == want.tobytes()
+
+    def test_subnormal_column_keeps_a_finite_scale(self):
+        # 2^(3 - e) for a column of 1e-310 would be 2^1032, which overflows;
+        # the clamped scale brings it to about 0.009, enough to separate
+        model = fit_score(
+            ClassifierSpec("BIC", "logistic"), np.full((20, 1), -1e-310), np.full((20, 1), 1e-310)
+        )
+        assert np.isfinite(model.params["w"]).all()
+        assert score(model, np.array([-1e-310])) > score(model, np.array([1e-310]))
 
 
 class TestKde:
@@ -389,6 +401,27 @@ class TestScale:
                 continue
             s = np.concatenate([scores.test, scores.mirror, scores.cal])
             assert len(np.unique(s)) == len(s) == 2333, c
+
+    @pytest.mark.parametrize("family, method", [("BIC", "logistic"), ("PUC", "pu-logistic")])
+    def test_logistic_fits_ignore_a_power_of_two_scale(self, family, method):
+        # each column's scale into [4, 8) absorbs a power of two exactly
+        spec = ClassifierSpec(family, method)
+        base = run_scq(scaled_probe(1.0), spec, WeightConfig(), 0.1).rejection.sorted()
+        for k in (-500, -10, 10, 500):
+            res = run_scq(scaled_probe(2.0**k), spec, WeightConfig(), 0.1)
+            assert res.rejection.sorted() == base, k
+
+    @pytest.mark.parametrize("family, method", [("BIC", "logistic"), ("PUC", "pu-logistic")])
+    def test_logistic_fits_reject_at_every_scale(self, family, method):
+        # a fixed step on unscaled columns diverges on large features while
+        # the scores stay distinct, so a run would reject nothing with exit 0
+        spec = ClassifierSpec(family, method)
+        for c in SCALES:
+            try:
+                res = run_scq(scaled_probe(c), spec, WeightConfig(), 0.1)
+            except ScqError:
+                continue
+            assert len(res.rejection) >= 100, c
 
     def test_pu_logistic_ranks_past_the_sigmoid(self):
         # at 1e3 the sigmoid of x.w + b rounds the 2,333 scores to 13 values
