@@ -398,7 +398,7 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
-                parts = _read(reader)
+                return _read(reader)
             except ScqError:
                 for _ in reader:  # an undecodable line later on outranks a bad row
                     pass
@@ -407,7 +407,6 @@ def load_csv(path) -> tuple[LabeledPool, TestSet]:
         raise UnreadableData(f"cannot read data file {path}: {_undecodable(path, exc)}") from exc
     except (OSError, csv.Error) as exc:
         raise UnreadableData(f"cannot read data file {path}: {exc}") from exc
-    return _assemble(*parts)
 
 
 def _undecodable(path, exc: UnicodeDecodeError) -> str:
@@ -442,29 +441,10 @@ def _columns(header) -> tuple:
     return role_i, label_i, side_i, feat_is
 
 
-def _keep_reserved(row, r: int, columns: tuple, roles, sides: list, labels) -> None:
-    """Append row ``r``'s role code and, for a test row, its side cell and label code."""
-    role_i, label_i, side_i, _ = columns
-    role = row[role_i].strip()
-    code = _ROLE_CODES.get(role)
-    if code is None:
-        raise ParseError(f"row {r}: unknown role {role!r}")
-    roles.append(code)
-    if code == _ROLE_CODES[ROLE_TEST]:
-        if side_i is not None:
-            sides.append(row[side_i].strip())
-        lab = row[label_i].strip() if label_i is not None else ""
-        if lab not in _LABEL_CODES:
-            raise ParseError(f"row {r}: label must be 0, 1, or empty, got {lab!r}")
-        labels.append(_LABEL_CODES[lab])
-
-
-def _read(reader) -> tuple:
-    """The feature rows of ``reader`` as one array, with the role codes and
-    the test rows' side cells and label codes; the first bad row raises."""
+def _read(reader) -> tuple[LabeledPool, TestSet]:
+    """The pool and the test set of ``reader``'s rows; the first bad row raises."""
     header = next(reader, None)
-    columns = _columns(header)
-    feat_is = columns[3]
+    role_i, label_i, side_i, feat_is = _columns(header)
     blocks, cells, roles, sides, labels = [], [], bytearray(), [], bytearray()
     r0 = 2  # the row of cells[0], 1-based with the header on row 1
     try:
@@ -472,7 +452,18 @@ def _read(reader) -> tuple:
             if len(row) != len(header):
                 raise ParseError(f"row {r}: expected {len(header)} cells, got {len(row)}")
             cells += [row[i] for i in feat_is]
-            _keep_reserved(row, r, columns, roles, sides, labels)
+            role = row[role_i].strip()
+            code = _ROLE_CODES.get(role)
+            if code is None:
+                raise ParseError(f"row {r}: unknown role {role!r}")
+            roles.append(code)
+            if code == _ROLE_CODES[ROLE_TEST]:
+                if side_i is not None:
+                    sides.append(row[side_i].strip())
+                lab = row[label_i].strip() if label_i is not None else ""
+                if lab not in _LABEL_CODES:
+                    raise ParseError(f"row {r}: label must be 0, 1, or empty, got {lab!r}")
+                labels.append(_LABEL_CODES[lab])
             if len(cells) >= _CHUNK:
                 pending, cells = cells, []
                 blocks.append(_block(pending, r0, header, feat_is))
@@ -481,7 +472,7 @@ def _read(reader) -> tuple:
         _block(cells, r0, header, feat_is)  # a bad feature cell up to this row raises first
         raise
     blocks.append(_block(cells, r0, header, feat_is))
-    return np.concatenate(blocks), roles, sides, labels
+    return _assemble(np.concatenate(blocks), roles, sides, labels)
 
 
 def _block(cells: list, r0: int, header, feat_is) -> np.ndarray:
