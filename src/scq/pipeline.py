@@ -144,8 +144,10 @@ class ScoreTable:
 
     def scores(self, spec: ClassifierSpec) -> CandidateScores:
         """The scores and p-values of ``spec``, cut from one scoring of
-        ``rows``; a score depends on its row alone.  A classifier that gives
-        every row one score although the rows differ raises DegenerateFit.
+        ``rows`` and one ranking of the test and mirror scores against the
+        calibration scores; a score depends on its row alone.  A classifier
+        that gives every row one score although the rows differ raises
+        DegenerateFit.
 
         The train-null KDE is fitted on the same rows at the same bandwidth
         by OCC/kde and by PUC/kde-ratio, so its density of ``rows`` is
@@ -165,15 +167,10 @@ class ScoreTable:
             if (s == s[0]).all() and (self.rows != self.rows[0]).any():
                 raise DegenerateFit(f"{spec.name} scores every row alike, though the rows differ")
             m = self.data.m
-            cal, test, mirror = s[2 * m :], s[:m], s[m : 2 * m]
-            n = len(cal) + 1
+            cal = s[2 * m :]
+            pv = conformal_pvalues(cal, s[: 2 * m]) / (len(cal) + 1)  # test, then mirror
             return CandidateScores(
-                spec=spec,
-                cal=cal,
-                test=test,
-                mirror=mirror,
-                p=conformal_pvalues(cal, test) / n,
-                p_tilde=conformal_pvalues(cal, mirror) / n,
+                spec=spec, cal=cal, test=s[:m], mirror=s[m : 2 * m], p=pv[:m], p_tilde=pv[m:]
             )
 
         return self._cached(("scores", spec), make)

@@ -312,22 +312,21 @@ def _knn_label_mean(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 def _logistic_gd(x: np.ndarray, y: np.ndarray, iterations: int, step: float):
     # full-batch gradient descent on mean log loss; zero init, no stopping rule.
     # The sigmoid 1 / (1 + exp(-z)) runs in place, exp overflow giving exactly
-    # 0 without a warning; np.add.reduce(g) / n is g.mean()
+    # 0 (fit_score silences the warning); np.add.reduce(g) / n is g.mean()
     n, p = x.shape
     w = np.zeros(p)
     b = 0.0
     xt = x.T
-    with np.errstate(over="ignore"):
-        for _ in range(iterations):
-            g = x @ w
-            g += b
-            np.negative(g, out=g)
-            np.exp(g, out=g)
-            g += 1.0
-            np.divide(1.0, g, out=g)
-            g -= y
-            w -= step * (xt @ g) / n
-            b -= step * float(np.add.reduce(g) / n)
+    for _ in range(iterations):
+        g = x @ w
+        g += b
+        np.negative(g, out=g)
+        np.exp(g, out=g)
+        g += 1.0
+        np.divide(1.0, g, out=g)
+        g -= y
+        w -= step * (xt @ g) / n
+        b -= step * float(np.add.reduce(g) / n)
     return w, b
 
 
@@ -346,6 +345,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, hp: Mapping[str, Any]) -> dict:
     return {"w": w * scale, "b": b}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises DegenerateFit further on
 def fit_score(
     spec: ClassifierSpec,
     train: np.ndarray,
@@ -412,6 +412,7 @@ def fit_score(
     return ScoreModel(family=spec.family, method=spec.method, dim=p, params=params)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN score raises when ranked
 def score_batch(model: ScoreModel, x: np.ndarray) -> np.ndarray:
     """Score a batch of feature vectors; smaller means more outlier-like.
     A logistic score is the linear predictor ``x.w + b`` (negated for BIC):

@@ -14,15 +14,17 @@ are the original's bytes, so that quoting and line endings change no
 number; ``infer`` on copies of the positional CSV with every feature
 scaled, with PUC/pu-logistic at 1e3, where a sigmoid score would round
 to exactly 1, and at 1e6, where a descent on the unscaled columns
-diverged, and with OCC/gaussian at 1e-170, where the squares
+diverged, with OCC/gaussian at 1e-170, where the squares
 underflow and every row scores alike, so the script checks that it
-exits 2 naming the classifier; ``infer`` with OCC/gaussian and
-``select --plus`` on the same test set as the positional CSV with
-jittered non-integral positions, whose kernel weights take the dense
-path; ``infer`` with
-PUC/kde-ratio on a ``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose
-7,000-row mixture reference gives distance products of a size OpenBLAS
-splits among threads unless they are tiled; ``infer`` with OCC/gaussian on
+exits 2 naming the classifier, and with OCC/gaussian and OCC/kde at
+1e160, where the squares overflow, so the script checks that each exits
+2 with its ``failure:`` line alone on stderr; ``infer`` with
+OCC/gaussian and ``select --plus`` on the same test set as the
+positional CSV with jittered non-integral positions, whose kernel
+weights take the dense path; ``infer`` with PUC/kde-ratio on a
+``paper_synthetic_config(3000, 3, 3.0)`` CSV, whose 7,000-row mixture
+reference gives distance products of a size OpenBLAS splits among
+threads unless they are tiled; ``infer`` with OCC/gaussian on
 those 3,000 units with jittered positions, whose dense kernel sums are
 of such a size too; ``simulate`` over all five pipelines (oracle weights
 included) at 1 and 2 workers; and ``report`` over the simulations.  Each
@@ -187,6 +189,8 @@ def main(out_dir: str) -> None:
         (1e3, "PUC", "pu-logistic"),
         (1e6, "PUC", "pu-logistic"),
         (1e-170, "OCC", "gaussian"),
+        (1e160, "OCC", "gaussian"),
+        (1e160, "OCC", "kde"),
     ):
         scaled = scaled_copy(csvs["position"], f"data-position-x{c:g}.csv", c)
         argv = ["infer", scaled, "--config", f"infer-{family}-{method}.json", "--seed", "4"]
@@ -194,6 +198,11 @@ def main(out_dir: str) -> None:
     console = Path("infer-x1e-170-OCC-gaussian", "console.txt").read_text()
     if not console.startswith("exit 2") or "OCC/gaussian scores every row alike" not in console:
         sys.exit("OCC/gaussian at 1e-170 did not exit 2 naming the classifier")
+    for method in ("gaussian", "kde"):
+        console = Path(f"infer-x1e+160-OCC-{method}", "console.txt").read_text()
+        err = console.partition("--- stderr\n")[2].splitlines()
+        if not console.startswith("exit 2") or len(err) != 1 or not err[0].startswith("failure:"):
+            sys.exit(f"OCC/{method} at 1e160 did not exit 2 with one failure line")
     run("infer-jittered-OCC-gaussian", ["infer", jittered, "--config", gauss_cfg, "--seed", "4"])
     run("select-plus-jittered", ["select", jittered, "--plus", "--config", cfg, "--seed", "4"])
 

@@ -197,6 +197,7 @@ class TestInfer:
         assert len(calls) == 1
         assert (out / "weights.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["gaussian", "kde"])
     def test_huge_features_exit_two(self, tmp_path, method, capsys):
         # finite features near 1e160 overflow the fit: exit 2, no traceback
@@ -467,6 +468,9 @@ MISTYPED = {
     "simulate-seed-negative": ("simulate", [], {"seed": -1}),
     # 0 threads is one worker per CPU; a negative count is not a count
     "simulate-threads-negative": ("simulate", [], {"threads": -3}),
+    # a flag is held to the bounds of its config key
+    "simulate-threads-flag-negative": ("simulate", ["--threads", "-3"], {}),
+    "simulate-reps-flag-zero": ("simulate", ["--reps", "0"], {}),
     # a JSON integer too large for a float is not a number
     "infer-lambda-beyond-float": ("infer", [], {"classifier": GAUSS, "lambda": 10**400}),
 }
@@ -491,6 +495,7 @@ NAMED = {
     "select-seed-negative": "seed",
     "simulate-seed-negative": "seed",
     "simulate-threads-negative": "threads",
+    "simulate-threads-flag-negative": "threads",
 }
 
 
@@ -499,7 +504,7 @@ def test_mistyped_config_value_exit_one(tmp_path, simulate_config, capsys, case)
     command, flags, doc = MISTYPED[case]
     if command == "simulate":
         doc = {**json.loads(simulate_config.read_text()), **doc} if isinstance(doc, dict) else doc
-        argv = [command]
+        argv = [command, *flags]
     else:
         write_signal_csv(tmp_path / "signal.csv")
         argv = [command, str(tmp_path / "signal.csv"), *flags]

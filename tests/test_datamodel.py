@@ -375,7 +375,7 @@ def _chunk_file(mutation, j):
         role = ("train-null", "train-outlier", "test", "train-null")[r % 4]
         cells = [role, str(r % 2) if role == "test" else "", str(r // 5), f"{r / 8}", f"{-r}", "0.1"]
         if r == j:
-            if mutation in ("bad cell", "bad cell and unknown role"):
+            if mutation in ("bad cell", "bad cell and unknown role", "bad cell and bad label"):
                 cells[3 + r % 3] = "x"
             if mutation in ("nan", "nan, then a ragged row"):
                 cells[3 + r % 3] = "nan"
@@ -383,6 +383,8 @@ def _chunk_file(mutation, j):
                 cells[0] = "tset"
             if mutation == "ragged row":
                 cells.append("1")
+            if mutation in ("bad label", "bad cell and bad label"):
+                cells[1] = "2"  # a test row raises; any other row's label is not read
         if r == j + 1 and mutation == "nan, then a ragged row":
             cells.pop()
         lines.append(",".join(cells))
@@ -460,6 +462,7 @@ class TestCsvAgreement:
         mutations = (
             "bad cell", "nan", "ragged row", "unknown role",
             "bad cell and unknown role", "nan, then a ragged row",
+            "bad label", "bad cell and bad label",
         )
         for mutation, j in [(None, 0), *((m, j) for m in mutations for j in range(2, 49))]:
             path.write_text(_chunk_file(mutation, j), encoding="utf-8")

@@ -118,6 +118,7 @@ class TestGaussian:
         x = rng.standard_normal((50, 4)) * 3.0
         np.testing.assert_allclose(score_batch(model, x), ref.logpdf(x), rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_covariance_is_degenerate(self):
         # finite features whose squares overflow: a typed error, not scipy's ValueError
         train = np.random.default_rng(0).standard_normal((50, 3)) * 1e160
