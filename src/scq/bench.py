@@ -36,7 +36,7 @@ from .datamodel import (
 )
 from .errors import REQUIRED, ConfigError, ScqError, TooManyFailures, read_config
 from .modelselect import (
-    DEFAULT_LAMBDA_GRID, CoinStream, SelectionTrace, Toolbox, checked_lambda_grid, ptams, ptams_plus
+    DEFAULT_LAMBDA_GRID, CoinStream, SelectionTrace, Toolbox, checked_lambda_grid, ptams_plus
 )
 from .pipeline import SCQResult, ScoreTable, WeightConfig, run_cfbh, run_scq
 from .scoring import ClassifierSpec
@@ -238,12 +238,8 @@ def run_method(
         return None, run_scq(table, method.classifier, WeightConfig(mode="unit"), alpha)
     if method.pipeline == "scq":
         return None, run_scq(table, method.classifier, wcfg, alpha, rng=rng)
-    if method.pipeline == "ptams":
-        return ptams(method.toolbox, table, alpha, coins, alpha0=method.alpha0, weight_cfg=wcfg)
-    trace, _, result = ptams_plus(
-        method.toolbox, table, alpha, coins,
-        lambda_grid=method.lambda_grid, alpha0=method.alpha0, weight_cfg=wcfg,
-    )
+    grid = method.lambda_grid if method.pipeline == "ptams_plus" else (wcfg.lam,)
+    trace, _, result = ptams_plus(method.toolbox, table, alpha, coins, grid, method.alpha0, wcfg)
     return trace, result
 
 

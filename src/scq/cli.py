@@ -8,7 +8,10 @@ the scalar flags (``--alpha``, ``--seed``, ``--out``, and for
 ``infer`` config is one ``scq`` method and a ``select`` config one
 ``ptams`` method (``ptams_plus`` with ``--plus``); as in ``simulate``,
 :meth:`~scq.bench.MethodSpec.from_dict` reads it and
-:func:`~scq.bench.run_method` runs it.  Standard output carries a
+:func:`~scq.bench.run_method` runs it.  Both selections run one path:
+``ptams`` is ``ptams_plus`` over the one threshold ``lambda``, so
+``select`` always reports the threshold it used, in ``trace.json``'s
+``lambda_star`` and in its summary line.  Standard output carries a
 one-line summary; all data goes to files whose bytes are fully
 determined by the inputs and the seed.  ``infer`` and ``select`` write
 ``weights.csv`` from the sparsity estimate their result carries, so the
@@ -132,7 +135,8 @@ def cmd_run(args) -> int:
     if trace is not None:
         _write_json(out / "trace.json", trace.to_dict())
         chosen = method.toolbox.names[trace.selected - 1]
-        summary = f"chose {chosen} (candidate {trace.selected}), {summary}"
+        at = f"(candidate {trace.selected}) at lambda {trace.lambda_star}"
+        summary = f"chose {chosen} {at}, {summary}"
     _write_json(out / "report.json", result.report_dict())
     _dump_weights(out, data, result)
     print(f"{args.command}: {summary}")

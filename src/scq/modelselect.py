@@ -34,7 +34,6 @@ from .errors import AllCandidatesFailed, ConfigError, ScqError
 from .pipeline import CandidateScores, SCQResult, ScoreTable, WeightConfig, run_scq, weighted_pairs
 
 DEFAULT_LAMBDA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
-STAGE1_LAMBDA = 0.1
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -134,7 +133,7 @@ class SelectionTrace:
     records: tuple
     selected: int
     tie_rule_applied: bool
-    lambda_star: Optional[float] = None
+    lambda_star: float
 
     def to_dict(self) -> dict:
         return {
@@ -166,38 +165,6 @@ def _pseudo_rejection_count(
     return len(rej)
 
 
-def _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg) -> SelectionTrace:
-    """Stage one of :func:`ptams`: score every candidate, pick the best."""
-    check_alpha(alpha)
-    if alpha0 is None:
-        alpha0 = 2.0 * alpha
-    if not 0.0 < alpha0 < 1.0:
-        raise ConfigError("alpha0 must lie in (0, 1); pass alpha0 explicitly")
-    # checked before any fit: in the loop it would count as every candidate failing
-    if weight_cfg.mode == "oracle" and table.data.test.pi is None:
-        raise ConfigError("oracle weights need the true signal frequencies of simulated data")
-
-    records = []
-    for k, (spec, name) in enumerate(zip(toolbox.candidates, toolbox.names), start=1):
-        try:
-            scores = table.scores(spec)
-            prelim = preliminary_partition(scores.p, scores.p_tilde, alpha0)
-            r_k = _pseudo_rejection_count(scores, prelim, weight_cfg, table, alpha, coins)
-        except ScqError as exc:
-            empty = RejectionSet(mask=np.zeros(table.data.m, dtype=bool), alpha=alpha0)
-            records.append(CandidateRecord(k=k, name=name, prelim=empty, r_k=-1, error=str(exc)))
-            continue
-        records.append(CandidateRecord(k=k, name=name, prelim=prelim, r_k=r_k))
-
-    best = max(rec.r_k for rec in records)
-    if best == -1:
-        raise AllCandidatesFailed("every candidate in the toolbox failed to fit")
-    winners = [rec.k for rec in records if rec.r_k == best]
-    return SelectionTrace(
-        records=tuple(records), selected=min(winners), tie_rule_applied=len(winners) > 1
-    )
-
-
 def ptams(
     toolbox: Toolbox,
     data: Union[InferenceData, ScoreTable],
@@ -208,20 +175,12 @@ def ptams(
 ) -> tuple[SelectionTrace, SCQResult]:
     """Select a classifier by pseudo-rejection count, then run it for real.
 
-    Candidates whose fit raises are excluded with sentinel count -1; ties
-    in the pseudo-rejection count go to the smallest candidate index.  The
-    returned result is :func:`~scq.pipeline.run_scq` of the selected
-    classifier at level ``alpha``.  ``data`` may be a
-    :class:`~scq.pipeline.ScoreTable`, whose fits and weights it reuses.
-
-    Raises
-    ------
-    AllCandidatesFailed
-        If no candidate fits.
+    This is :func:`ptams_plus` over the one threshold ``weight_cfg.lam``:
+    the returned result is :func:`~scq.pipeline.run_scq` of the selected
+    classifier at ``weight_cfg`` and level ``alpha``.
     """
-    table = ScoreTable.of(data)
-    trace = _select_candidate(toolbox, table, alpha, coins, alpha0, weight_cfg)
-    return trace, run_scq(table, toolbox.candidates[trace.selected - 1], weight_cfg, alpha)
+    trace, _, result = ptams_plus(toolbox, data, alpha, coins, [weight_cfg.lam], alpha0, weight_cfg)
+    return trace, result
 
 
 def ptams_plus(
@@ -235,27 +194,53 @@ def ptams_plus(
 ) -> tuple[SelectionTrace, float, SCQResult]:
     """Model selection followed by screening-threshold selection.
 
-    Stage one runs the :func:`ptams` selection with the screening threshold
-    pinned at ``STAGE1_LAMBDA`` to pick the classifier; stage two reuses
-    that classifier's p-values and preliminary set, sweeps the grid,
-    scoring each threshold by its pseudo-rejection count (ties go to the
-    smallest threshold), and returns :func:`~scq.pipeline.run_scq` of the
-    winning pair.  ``data`` may be a table, as for :func:`ptams`.
+    Stage one scores every candidate by its pseudo-rejection count at
+    ``weight_cfg.lam`` and picks the best; candidates whose fit raises are
+    excluded with sentinel count -1, and ties go to the smallest candidate
+    index.  Stage two reuses the winner's p-values and preliminary set,
+    sweeps the grid, scoring each threshold by its pseudo-rejection count
+    (ties go to the smallest threshold), and returns
+    :func:`~scq.pipeline.run_scq` of the winning pair.  ``data`` may be a
+    :class:`~scq.pipeline.ScoreTable`, whose fits and weights it reuses.
+
+    Raises
+    ------
+    AllCandidatesFailed
+        If no candidate fits.
     """
     grid = checked_lambda_grid(lambda_grid)
+    check_alpha(alpha)
+    alpha0 = 2.0 * alpha if alpha0 is None else alpha0
+    if not 0.0 < alpha0 < 1.0:
+        raise ConfigError("alpha0 must lie in (0, 1); pass alpha0 explicitly")
     table = ScoreTable.of(data)
-    trace = _select_candidate(
-        toolbox, table, alpha, coins, alpha0, replace(weight_cfg, lam=STAGE1_LAMBDA)
-    )
-    spec = toolbox.candidates[trace.selected - 1]
-    winner = trace.records[trace.selected - 1]
-    # stage one already counted the winner at STAGE1_LAMBDA with the same coins
+    # checked before any fit: in the loop it would count as every candidate failing
+    if weight_cfg.mode == "oracle" and table.data.test.pi is None:
+        raise ConfigError("oracle weights need the true signal frequencies of simulated data")
+
+    records = []
+    for k, (spec, name) in enumerate(zip(toolbox.candidates, toolbox.names), start=1):
+        try:
+            scores = table.scores(spec)
+            prelim = preliminary_partition(scores.p, scores.p_tilde, alpha0)
+            r_k = _pseudo_rejection_count(scores, prelim, weight_cfg, table, alpha, coins)
+            records.append(CandidateRecord(k=k, name=name, prelim=prelim, r_k=r_k))
+        except ScqError as exc:
+            empty = RejectionSet(mask=np.zeros(table.data.m, dtype=bool), alpha=alpha0)
+            records.append(CandidateRecord(k=k, name=name, prelim=empty, r_k=-1, error=str(exc)))
+    best = max(rec.r_k for rec in records)
+    if best == -1:
+        raise AllCandidatesFailed("every candidate in the toolbox failed to fit")
+    winners = [rec for rec in records if rec.r_k == best]
+    winner, spec = winners[0], toolbox.candidates[winners[0].k - 1]
+
+    # stage one already counted the winner at weight_cfg.lam with the same coins
     counts = [
-        winner.r_k if lam == STAGE1_LAMBDA else _pseudo_rejection_count(
+        winner.r_k if lam == weight_cfg.lam else _pseudo_rejection_count(
             table.scores(spec), winner.prelim, replace(weight_cfg, lam=lam), table, alpha, coins
         )
         for lam in grid
     ]
     lam_star = grid[counts.index(max(counts))]
-    trace = replace(trace, lambda_star=lam_star)
+    trace = SelectionTrace(tuple(records), winner.k, len(winners) > 1, lam_star)
     return trace, lam_star, run_scq(table, spec, replace(weight_cfg, lam=lam_star), alpha)

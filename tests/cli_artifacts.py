@@ -7,8 +7,10 @@ Usage::
 
 The runs are the criterion-12 fixture at ``--seed 9``; ``infer``,
 ``select`` and ``select --plus`` on ``paper_synthetic_config(500, 3, 3.0)``
-CSVs with positional and with group side info; ``infer`` with OCC/gaussian
-on a copy of the positional CSV with LF line endings and one quoted
+CSVs with positional and with group side info; ``select`` on the
+positional CSV with ``"lambda": 0.3``, whose selection runs at that
+threshold; ``infer`` with OCC/gaussian on a copy of the positional CSV
+with LF line endings and one quoted
 feature cell, whose ``report.json`` and ``weights.csv`` the script checks
 are the original's bytes, so that quoting and line endings change no
 number; ``infer`` on copies of the positional CSV with every feature
@@ -177,6 +179,9 @@ def main(out_dir: str) -> None:
         cfg = write_json("select.json", {"toolbox": TOOLBOX, "alpha": 0.1})
         run(f"select-{side}", ["select", data, "--config", cfg, "--seed", "4"])
         run(f"select-plus-{side}", ["select", data, "--plus", "--config", cfg, "--seed", "4"])
+    lam_cfg = write_json("select-lambda.json", {"toolbox": TOOLBOX, "alpha": 0.1, "lambda": 0.3})
+    argv = ["select", csvs["position"], "--config", lam_cfg, "--seed", "4"]
+    run("select-position-lambda0.3", argv)
     gauss_cfg = "infer-OCC-gaussian.json"
     quoted = quoted_lf_copy(csvs["position"], "data-position-quoted.csv")
     run("infer-quoted-OCC-gaussian", ["infer", quoted, "--config", gauss_cfg, "--seed", "4"])

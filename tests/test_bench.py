@@ -207,11 +207,11 @@ class TestSharedScoreTable:
         traces = []
 
         def recording_ptams(*args, **kwargs):
-            trace, result = modelselect.ptams(*args, **kwargs)
+            trace, lam, result = modelselect.ptams_plus(*args, **kwargs)
             traces.append(trace)
-            return trace, result
+            return trace, lam, result
 
-        monkeypatch.setattr(bench, "ptams", recording_ptams)
+        monkeypatch.setattr(bench, "ptams_plus", recording_ptams)
         calibrations = count_calls(monkeypatch, conformal.bc_threshold)
         cfg = paper_synthetic_config(m=500, p=5, mu=3.0)
         _, outcomes = _replicate_once((tuple(REPLICATE_METHODS), cfg, 0.1, 0.5, 1, 0))

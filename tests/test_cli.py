@@ -362,6 +362,21 @@ class TestSelect:
         trace = json.loads((out_b / "trace.json").read_text())
         assert trace["lambda_star"] == 0.1
 
+    @pytest.mark.parametrize("plus", [False, True])
+    def test_summary_and_trace_name_the_threshold(self, tmp_path, select_config, capsys, plus):
+        data = tmp_path / "signal.csv"
+        write_signal_csv(data)
+        doc = json.loads(select_config.read_text())
+        doc.update({"lambda_grid": [0.3]} if plus else {"lambda": 0.3})
+        cfg = tmp_path / "lam.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["select", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--plus"] * plus) == 0
+        trace = json.loads((tmp_path / "out" / "trace.json").read_text())
+        assert trace["lambda_star"] == 0.3
+        summary = capsys.readouterr().out
+        assert f"(candidate {trace['selected']}) at lambda 0.3, rejected " in summary
+
     def test_select_deterministic(self, tmp_path, select_config):
         data = tmp_path / "signal.csv"
         write_signal_csv(data)

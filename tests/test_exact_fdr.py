@@ -22,7 +22,8 @@ import pytest
 from helpers import make_synthetic_data, swap_inference_pairs
 from scq.conformal import bc_threshold, build_pairs
 from scq.datamodel import SideInfo
-from scq.modelselect import CoinStream, Toolbox, ptams_plus
+from scq.modelselect import CoinStream, Toolbox, ptams, ptams_plus
+from scq.pipeline import WeightConfig
 from scq.scoring import ClassifierSpec
 from scq.weights import estimate_sparsity, structure_weights
 
@@ -108,4 +109,23 @@ def test_ptams_plus_controls_the_fdr_exactly():
             selections.add((trace.selected, lam))
             total += false_discovery_proportion(res.rejection.mask, nonnull)
     assert selections == {(3, 0.05)}
+    assert total / 2 ** len(nulls) <= Fraction(3, 10)
+
+
+def test_ptams_controls_the_fdr_exactly():
+    # ptams is ptams_plus over its one threshold, here 0.3 for both stages
+    data = make_synthetic_data(m=12, p=3, mu=2.5, seed=3)
+    specs = (("OCC", "gaussian"), ("OCC", "kde"), ("PUC", "kde-ratio"))
+    toolbox = Toolbox(tuple(ClassifierSpec(*s) for s in specs))
+    wcfg = WeightConfig(lam=0.3)
+    nonnull = data.test.truth
+    nulls = np.flatnonzero(~nonnull) + 1
+    total, selections = Fraction(0), set()
+    for r in range(len(nulls) + 1):
+        for swapped in itertools.combinations(nulls, r):
+            orientation = swap_inference_pairs(data, swapped)
+            trace, res = ptams(toolbox, orientation, 0.3, CoinStream(3), weight_cfg=wcfg)
+            selections.add((trace.selected, trace.lambda_star))
+            total += false_discovery_proportion(res.rejection.mask, nonnull)
+    assert selections == {(3, 0.3)}
     assert total / 2 ** len(nulls) <= Fraction(3, 10)

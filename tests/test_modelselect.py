@@ -12,7 +12,6 @@ from scq.conformal import RejectionSet, ScorePairs
 from scq.errors import AllCandidatesFailed, ConfigError
 from scq.modelselect import (
     DEFAULT_LAMBDA_GRID,
-    STAGE1_LAMBDA,
     CoinStream,
     Toolbox,
     preliminary_partition,
@@ -229,15 +228,17 @@ class TestPtams:
 
 
 class TestPtamsPlus:
-    def test_singleton_grid_matches_ptams(self):
+    @pytest.mark.parametrize("lam", [0.1, 0.3])
+    def test_singleton_grid_matches_ptams(self, lam):
+        # ptams is ptams_plus over the one threshold weight_cfg.lam
         data = make_synthetic_data(m=60, p=3, mu=3.0, seed=9)
-        coins = CoinStream(seed=2)
-        trace_a, result_a = ptams(TOOLBOX, data, alpha=0.1, coins=coins)
-        trace_b, lam, result_b = ptams_plus(
-            TOOLBOX, data, alpha=0.1, coins=coins, lambda_grid=[0.1]
+        coins, wcfg = CoinStream(seed=2), WeightConfig(lam=lam)
+        trace_a, result_a = ptams(TOOLBOX, data, alpha=0.1, coins=coins, weight_cfg=wcfg)
+        trace_b, lam_b, result_b = ptams_plus(
+            TOOLBOX, data, alpha=0.1, coins=coins, lambda_grid=[lam], weight_cfg=wcfg
         )
-        assert lam == 0.1
-        assert trace_b.selected == trace_a.selected
+        assert lam_b == lam
+        assert trace_b.to_dict() == trace_a.to_dict()
         assert result_b.rejection.sorted() == result_a.rejection.sorted()
         np.testing.assert_array_equal(result_b.qvalues, result_a.qvalues)
 
@@ -256,11 +257,11 @@ class TestPtamsPlus:
 
     @pytest.mark.parametrize("grid", [DEFAULT_LAMBDA_GRID, (0.05, 0.2, 0.3)])
     def test_reuses_stage_one_count(self, monkeypatch, grid):
-        # the winner's count at STAGE1_LAMBDA comes from stage one, not a rerun
+        # the winner's count at the default lambda comes from stage one, not a rerun
         data = make_synthetic_data(m=60, p=3, mu=3.0, seed=9)
         counts = count_calls(monkeypatch, _pseudo_rejection_count)
         ptams_plus(TOOLBOX, data, alpha=0.1, coins=CoinStream(seed=2), lambda_grid=grid)
-        assert len(counts) == len(TOOLBOX) + len(grid) - (STAGE1_LAMBDA in grid)
+        assert len(counts) == len(TOOLBOX) + len(grid) - (WeightConfig().lam in grid)
 
     def test_lambda_star_swap_invariant(self):
         coins = CoinStream(seed=21)
