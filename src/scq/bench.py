@@ -12,9 +12,13 @@ datasets: replication ``r`` derives its generator from
 ``(master_seed, r)``, generates one dataset, and feeds it to every method,
 so method columns are exactly paired.  The methods of one replication share
 one :class:`~scq.pipeline.ScoreTable`: a classifier several methods use is
-fitted and scored once, and its learned weights estimated once.  Aggregation
-is a fixed-order reduce over replication indices, which makes whole tables
-bit-reproducible from the master seed regardless of worker scheduling.
+fitted and scored once, and its learned weights estimated once.
+:func:`rejection_metrics` turns a method's rejection set into its
+(fdp, power, true positives).  Aggregation is a fixed-order reduce over
+replication indices, which makes whole tables bit-reproducible from the
+master seed regardless of worker scheduling.  Every metrics file,
+``metrics.csv`` under ``COLUMNS`` and ``long.csv`` under ``LONG_COLUMNS``,
+goes through :func:`~scq.datamodel.write_csv`.
 """
 
 from __future__ import annotations
@@ -26,13 +30,7 @@ import numpy as np
 
 from .conformal import RejectionSet, check_alpha
 from .datamodel import (
-    AltComponent,
-    InferenceData,
-    SparsityBlock,
-    SyntheticConfig,
-    generate_hierarchical,
-    split_nulls,
-    write_csv,
+    AltComponent, InferenceData, SparsityBlock, SyntheticConfig, generate_hierarchical, split_nulls
 )
 from .errors import REQUIRED, ConfigError, ScqError, TooManyFailures, read_config
 from .modelselect import (
@@ -75,6 +73,8 @@ METRICS = ("fdr", "ap", "etp")
 # metrics.csv columns and metrics.json keys, in MetricsRow field order
 COLUMNS = ("method", *(c for m in METRICS for c in (m, f"{m}_se")), "reps")
 METRICS_ROW = {c: ({"method": str, "reps": int}.get(c, float), REQUIRED) for c in COLUMNS}
+# long.csv columns, in long_rows record order
+LONG_COLUMNS = ("method", "param_value", "metric", "value", "se")
 
 
 @dataclass(frozen=True)
@@ -149,29 +149,18 @@ class MetricsRow:
         return MetricsRow(*read_config(doc, METRICS_ROW, "metrics row").values())
 
 
-def _rejection_mask(rejection: RejectionSet, truth: np.ndarray) -> np.ndarray:
+def rejection_metrics(rejection: RejectionSet, truth: Sequence[bool]) -> tuple[float, float, int]:
+    """(fdp, power, true positives) of a rejection set against the true signals.
+
+    The realized false discovery proportion divides the false rejections by
+    max(1, |R|), and power divides the true positives by max(1, |H1|).
+    """
+    truth = np.asarray(truth, dtype=bool)
     if rejection.mask.shape != truth.shape:
         raise ConfigError("rejection mask and truth vector must share length")
-    return rejection.mask
-
-
-def fdp(rejection: RejectionSet, truth: Sequence[bool]) -> float:
-    """Realized false discovery proportion: false rejections over max(1, |R|)."""
-    truth = np.asarray(truth, dtype=bool)
-    mask = _rejection_mask(rejection, truth)
-    false = int(np.count_nonzero(mask & ~truth))
-    return false / max(1, len(rejection))
-
-
-def true_positives(rejection: RejectionSet, truth: Sequence[bool]) -> int:
-    truth = np.asarray(truth, dtype=bool)
-    return int(np.count_nonzero(_rejection_mask(rejection, truth) & truth))
-
-
-def power(rejection: RejectionSet, truth: Sequence[bool]) -> float:
-    """Fraction of true signals rejected, with max(1, |H1|) in the denominator."""
-    truth = np.asarray(truth, dtype=bool)
-    return true_positives(rejection, truth) / max(1, int(truth.sum()))
+    tp = int(np.count_nonzero(rejection.mask & truth))
+    rejected = len(rejection)
+    return (rejected - tp) / max(1, rejected), tp / max(1, int(truth.sum())), tp
 
 
 def paper_synthetic_config(
@@ -256,18 +245,14 @@ def _replicate_once(args):
         try:
             _, result = run_method(method, table, alpha, coins)
             rej = result.rejection if isinstance(result, SCQResult) else result
-            out.append(
-                (fdp(rej, test.truth), power(rej, test.truth), true_positives(rej, test.truth))
-            )
+            out.append(rejection_metrics(rej, test.truth))
         except ScqError as exc:
             out.append(exc)
-    return rep, out
+    return out
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     n = len(values)
-    if n == 0:
-        return float("nan"), float("nan")
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return mean, se
@@ -303,11 +288,10 @@ def replication_table(
             raw = list(pool.map(_replicate_once, jobs, chunksize=max(1, reps // (4 * workers))))
     else:
         raw = [_replicate_once(job) for job in jobs]
-    raw.sort(key=lambda item: item[0])
 
     table = np.full((reps, len(methods), 3), np.nan)
     first_failure = {}
-    for r, outcomes in raw:
+    for r, outcomes in enumerate(raw):
         for mi, outcome in enumerate(outcomes):
             if isinstance(outcome, Exception):
                 first_failure.setdefault(mi, outcome)
@@ -346,22 +330,10 @@ def compare(
     return rows
 
 
-def rows_to_csv(rows: Sequence[MetricsRow], path) -> None:
-    write_csv(path, COLUMNS, map(astuple, rows))
-
-
 def long_rows(rows: Sequence[MetricsRow], param_value=None) -> list[list]:
-    """Plot-ready long format: method, param_value, metric, value, se."""
+    """Plot-ready long format, one record per ``LONG_COLUMNS`` row."""
     out = []
     for row in rows:
         doc = row.to_dict()
         out.extend([row.name, param_value, m, doc[m], doc[f"{m}_se"]] for m in METRICS)
     return out
-
-
-def write_long_csv(records: Sequence[Sequence], path) -> None:
-    write_csv(
-        path,
-        ("method", "param_value", "metric", "value", "se"),
-        ((name, param, metric, float(value), float(se)) for name, param, metric, value, se in records),
-    )

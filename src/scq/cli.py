@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .datamodel import InferenceData, SyntheticConfig, load_csv, split_nulls
+from .datamodel import InferenceData, SyntheticConfig, load_csv, split_nulls, write_csv
 from .errors import REQUIRED, ConfigError, RuntimeFailure, ScqError, check_value, read_config
 from .modelselect import CoinStream
 from .pipeline import SCQResult
@@ -108,8 +108,8 @@ def cmd_simulate(args) -> int:
         methods, syn, cfg["reps"], cfg["seed"],
         alpha=cfg["alpha"], train_frac=cfg["train_frac"], threads=threads,
     )
-    bench.rows_to_csv(rows, out / "metrics.csv")
     doc = {"rows": [row.to_dict() for row in rows]}
+    write_csv(out / "metrics.csv", bench.COLUMNS, (row.values() for row in doc["rows"]))
     if cfg["param_value"] is not None:
         doc["param_value"] = cfg["param_value"]
     _write_json(out / "metrics.json", doc)
@@ -164,9 +164,11 @@ def cmd_report(args) -> int:
                 continue
             rows = check_value(doc["rows"], [dict], "rows")
             rows = [bench.MetricsRow.from_dict(row) for row in rows]
+            param_value = doc.get("param_value")
+            if param_value is not None:
+                check_value(param_value, SIMULATE["param_value"][0], "param_value")
         except (OSError, ValueError, ConfigError) as exc:
             raise ConfigError(f"corrupt artifact {path}: {exc!r}") from exc
-        param_value = doc.get("param_value")
         merged.extend(bench.long_rows(rows, param_value))
         for row in rows:
             summaries.setdefault(row.name, []).append((param_value, row))
@@ -174,7 +176,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"no metrics artifacts found under {src}")
     out = Path(args.out) if args.out else src
     out.mkdir(parents=True, exist_ok=True)
-    bench.write_long_csv(merged, out / "long.csv")
+    write_csv(out / "long.csv", bench.LONG_COLUMNS, merged)
     lines = []
     for method in sorted(summaries):
         lines.append(f"method: {method}")

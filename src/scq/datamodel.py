@@ -504,7 +504,8 @@ def _assemble(features: np.ndarray, roles, sides: list, labels) -> tuple[Labeled
     if not sides:  # no side column, or no test rows
         side = SideInfo("position", np.arange(1, m + 1, dtype=np.float64))
     elif "" in sides:
-        raise ParseError("side column present but empty for some test rows")
+        r = int(np.flatnonzero(is_test)[sides.index("")]) + 2
+        raise ParseError(f"row {r}: side column present but empty")
     elif all(_INT_RE.match(s) for s in sides):
         try:
             side = SideInfo("group", np.array([int(s) for s in sides], dtype=np.int64))

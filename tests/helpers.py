@@ -382,7 +382,9 @@ def load_csv_by_cell(path) -> tuple:
     else:
         raw = [s if s is not None else "" for s in test_sides]
         if any(s == "" for s in raw):
-            raise ParseError("side column present but empty for some test rows")
+            test_rows_at = [r for r, row in enumerate(rows, 2) if row[role_i].strip() == ROLE_TEST]
+            r = test_rows_at[raw.index("")]
+            raise ParseError(f"row {r}: side column present but empty")
         if all(re.match(r"^[+-]?\d+$", s) for s in raw):
             try:
                 side = SideInfo("group", np.array([int(s) for s in raw], dtype=np.int64))

@@ -13,19 +13,15 @@ from scq.bench import (
     MethodSpec,
     MetricsRow,
     compare,
-    fdp,
     long_rows,
     paper_synthetic_config,
-    power,
+    rejection_metrics,
     replication_table,
-    rows_to_csv,
-    true_positives,
-    write_long_csv,
     _replicate_once,
 )
 from scq.cli import _write_json
 from scq.conformal import RejectionSet
-from scq.datamodel import SyntheticConfig
+from scq.datamodel import SyntheticConfig, write_csv
 from scq.errors import ConfigError, TooManyFailures
 from scq.modelselect import Toolbox
 from scq.pipeline import WeightConfig
@@ -50,24 +46,26 @@ def tiny_config(m=40, p=2, mu=3.0):
 class TestFdp:
     def test_half_false(self):
         rej = RejectionSet(mask=[True, True, False], alpha=0.1)
-        assert fdp(rej, [False, True, True]) == 0.5
+        assert rejection_metrics(rej, [False, True, True])[0] == 0.5
 
     def test_empty_rejection_floor(self):
-        assert fdp(RejectionSet(mask=[False, False], alpha=0.1), [True, False]) == 0.0
+        rej = RejectionSet(mask=[False, False], alpha=0.1)
+        assert rejection_metrics(rej, [True, False])[0] == 0.0
 
     def test_all_rejected_all_true(self):
         rej = RejectionSet(mask=[True, True, True], alpha=0.1)
-        assert fdp(rej, [True, True, True]) == 0.0
+        assert rejection_metrics(rej, [True, True, True])[0] == 0.0
 
     def test_power_and_tp(self):
         rej = RejectionSet(mask=[True, False, True, False], alpha=0.1)
         truth = [True, True, False, True]
-        assert true_positives(rej, truth) == 1
-        assert power(rej, truth) == pytest.approx(1 / 3)
+        _, power, tp = rejection_metrics(rej, truth)
+        assert tp == 1
+        assert power == pytest.approx(1 / 3)
 
     def test_mask_length_must_match_truth(self):
         with pytest.raises(ConfigError):
-            fdp(RejectionSet(mask=[True, False, True], alpha=0.1), [True, False])
+            rejection_metrics(RejectionSet(mask=[True, False, True], alpha=0.1), [True, False])
 
 
 class TestRunReplications:
@@ -214,7 +212,7 @@ class TestSharedScoreTable:
         monkeypatch.setattr(bench, "ptams_plus", recording_ptams)
         calibrations = count_calls(monkeypatch, conformal.bc_threshold)
         cfg = paper_synthetic_config(m=500, p=5, mu=3.0)
-        _, outcomes = _replicate_once((tuple(REPLICATE_METHODS), cfg, 0.1, 0.5, 1, 0))
+        outcomes = _replicate_once((tuple(REPLICATE_METHODS), cfg, 0.1, 0.5, 1, 0))
         assert not any(isinstance(o, Exception) for o in outcomes)
         assert traces[0].selected == 1  # OCC/gaussian, the scq method's classifier
         assert outcomes[-1] == outcomes[0]
@@ -299,7 +297,7 @@ class TestConfigBuilders:
 class TestOutputs:
     def test_csv_and_json(self, tmp_path):
         rows = compare([SCQ_GAUSS], tiny_config(), reps=3, master_seed=6)
-        rows_to_csv(rows, tmp_path / "m.csv")
+        write_csv(tmp_path / "m.csv", bench.COLUMNS, (row.to_dict().values() for row in rows))
         doc = {"rows": [row.to_dict() for row in rows], "param_value": 2.0}
         _write_json(tmp_path / "m.json", doc)
         header = (tmp_path / "m.csv").read_text().splitlines()[0]
@@ -316,7 +314,7 @@ class TestOutputs:
         records = long_rows(rows, param_value=1.5)
         assert [r[2] for r in records] == ["fdr", "ap", "etp"]
         assert all(r[1] == 1.5 for r in records)
-        write_long_csv(records, tmp_path / "long.csv")
+        write_csv(tmp_path / "long.csv", bench.LONG_COLUMNS, records)
         lines = (tmp_path / "long.csv").read_text().splitlines()
         assert lines[0] == "method,param_value,metric,value,se"
         assert len(lines) == 4

@@ -115,6 +115,11 @@ class TestSimulate:
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
+        capsys.readouterr()
+        write_signal_csv(tmp_path / "signal.csv")
+        assert main(["infer", str(tmp_path / "signal.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --config is required for this command\n"
 
     def test_replication_collapse_exit_two(self, tmp_path, simulate_config, capsys):
         # a toolbox of binary classifiers cannot fit synthetic data (no
@@ -268,6 +273,25 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config {cfg}") and "Traceback" not in err
 
+    def test_config_not_json_exit_one(self, tmp_path, capsys):
+        data, cfg = tmp_path / "signal.csv", tmp_path / "cfg.json"
+        write_signal_csv(data)
+        cfg.write_text('{"classifier": ')
+        rc = main(["infer", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON") and "Traceback" not in err
+
+    def test_unit_weights_write_no_weights_csv(self, tmp_path):
+        # per-unit weight diagnostics exist for learned weights alone
+        data, cfg = tmp_path / "signal.csv", tmp_path / "cfg.json"
+        write_signal_csv(data)
+        cfg.write_text(json.dumps({"classifier": GAUSS, "weight_mode": "unit"}))
+        out = tmp_path / "out"
+        assert main(["infer", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+        assert not (out / "weights.csv").exists()
+
     @pytest.mark.parametrize("bom_file", ["data", "config"])
     def test_utf8_byte_order_mark_reads_the_same(self, tmp_path, infer_config, bom_file):
         # spreadsheet exports often start with a UTF-8 BOM
@@ -395,6 +419,7 @@ MISTYPED = {
     "infer-lambda": ("infer", [], {"classifier": GAUSS, "lambda": "abc"}),
     "infer-alpha-string": ("infer", [], {"classifier": GAUSS, "alpha": "0.1"}),
     "infer-train-frac-null": ("infer", [], {"classifier": GAUSS, "train_frac": None}),
+    "infer-train-frac-one": ("infer", [], {"classifier": GAUSS, "train_frac": 1.0}),
     "infer-bandwidth": ("infer", [], {"classifier": GAUSS, "bandwidth": "wide"}),
     "infer-knn-k": (
         "infer", [], {"classifier": {"family": "OCC", "method": "knn", "hyperparams": {"k": "many"}}}
@@ -579,6 +604,10 @@ class TestReport:
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["report", str(empty)]) == 1
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "missing")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: artifacts directory not found: {tmp_path / 'missing'}\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -588,6 +617,8 @@ class TestReport:
             {"rows": [5]},
             {"rows": [{"method": "x", "fdr": "low", "fdr_se": 0, "ap": 0, "ap_se": 0,
                        "etp": 0, "etp_se": 0, "reps": 1}]},
+            {"rows": [{"method": "x", "fdr": 0, "fdr_se": 0, "ap": 0, "ap_se": 0,
+                       "etp": 0, "etp_se": 0, "reps": 1}], "param_value": {"mu": 1}},
         ],
     )
     def test_malformed_metrics_exit_one(self, tmp_path, capsys, doc):

@@ -341,9 +341,11 @@ CSV_MUTATIONS = {
     "duplicate feature header": ["__role__,__label__,__side__,f0,f0", *CSV_LINES[1:]],
     "group side beyond int64": [*CSV_LINES[:6], "test,0,99999999999999999999,2.5,-3", CSV_LINES[7]],
     "float sides": [*CSV_LINES[:6], "test,0,5.5,2.5,-3", CSV_LINES[7]],
+    "empty side cell": [*CSV_LINES[:6], "test,0,,2.5,-3", CSV_LINES[7]],
     "no test rows": CSV_LINES[:5],
     "outlier rows only": [CSV_LINES[0], CSV_LINES[3], CSV_LINES[3]],
     "header only": CSV_LINES[:1],
+    "reserved columns only": ["__role__,__label__,__side__", "train-null,,", "test,0,1"],
     "quoted role": [*CSV_LINES[:6], '"test",0,5,2.5,-3', CSV_LINES[7]],
     "quoted side with a comma": [*CSV_LINES[:6], 'test,0,"5,5",2.5,-3', CSV_LINES[7]],
     "quoted cell across lines": [*CSV_LINES[:6], 'test,0,"5', '",2.5,-3', CSV_LINES[7]],
@@ -419,6 +421,13 @@ class TestCsvAgreement:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(CSV_MUTATIONS[name]) + "\n").encode())
         assert _outcome(load_csv, path) == _outcome(load_csv_by_cell, path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        outcome = _outcome(load_csv, path)
+        assert outcome == (SchemaMismatch, "empty file: no header row")
+        assert outcome == _outcome(load_csv_by_cell, path)
 
     def test_float_accepts_what_numpy_does_not(self, tmp_path):
         path = tmp_path / "digits.csv"
